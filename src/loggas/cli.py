@@ -90,13 +90,25 @@ def _write_manifest(out: Path | None, command: str, args, seed) -> None:
 # subcommands
 
 
+def _solve_equilibrium(V: model_mod.Potential, n_nodes: int = 2000, tol: float = 1e-3):
+    """Equilibrium measure of V on [-R, R], R its growth-check radius, and its constants."""
+    R = V.growth_check_radius
+    mu = model_mod.solve_equilibrium(V, np.linspace(-R, R, n_nodes), tol=tol)
+    return mu, model_mod.model_constants(mu, V)
+
+
+def _write_csv(out: Path | None, name: str, header: list, rows: list) -> None:
+    """Write a CSV file `name` under `out`, or to stdout when there is no --out."""
+    if out is None:
+        csv.writer(sys.stdout).writerows([header, *rows])
+        return
+    with (out / name).open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def _cmd_equilibrium(args) -> int:
     V = _resolve_potential(args)
-    n_nodes = args.n or 2000
-    R = V.growth_check_radius
-    grid = np.linspace(-R, R, n_nodes)
-    mu = model_mod.solve_equilibrium(V, grid, tol=args.tol or 1e-3)
-    consts = model_mod.model_constants(mu, V)
+    mu, consts = _solve_equilibrium(V, args.n or 2000, args.tol or 1e-3)
     text = model_mod.measure_to_json(mu, consts)
     out = _out_dir(args)
     if out:
@@ -125,11 +137,8 @@ def _cmd_fekete(args) -> int:
     out = _out_dir(args)
     if out:
         (out / "fekete.json").write_text(json.dumps(payload, indent=2) + "\n")
-        with (out / "fekete.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "x"])
-            for i, x in enumerate(res.config.points):
-                w.writerow([i, _fmt(float(x))])
+        _write_csv(out, "fekete.csv", ["index", "x"],
+                   [[i, _fmt(float(x))] for i, x in enumerate(res.config.points)])
         _write_manifest(out, "fekete", args, args.seed or 0)
     else:
         print(json.dumps(payload, indent=2))
@@ -232,9 +241,8 @@ def _cmd_verify_field(args) -> int:
         worst = max(worst, rel)
         rows.append([name, cfg.period, _fmt(w_exact), _fmt(w_quad), _fmt(eta), _fmt(y_cut), _fmt(rel)])
     out = _out_dir(args)
-    writer = csv.writer(sys.stdout if out is None else (out / "verify_field.csv").open("w", newline=""))
-    writer.writerow(["config_id", "N", "periodic_w", "w_quadrature", "eta", "y_cut", "rel_err"])
-    writer.writerows(rows)
+    _write_csv(out, "verify_field.csv",
+               ["config_id", "N", "periodic_w", "w_quadrature", "eta", "y_cut", "rel_err"], rows)
     if out:
         _write_manifest(out, "verify-field", args, args.seed or 0)
     return 0 if worst <= tol else 1
@@ -255,7 +263,10 @@ def _cmd_partition(args) -> int:
         log_z, err = partition_mod.thermo_log_z(n, beta, V)
     else:
         raise ValueError(f"unknown method {method!r}")
-    consts = model_mod.model_constants(model_mod.semicircle_equilibrium(), model_mod.quadratic())
+    if V.label == "quadratic":
+        consts = model_mod.model_constants(model_mod.semicircle_equilibrium(), V)
+    else:
+        _, consts = _solve_equilibrium(V)
     report = partition_mod.next_order_report(n, beta, consts, log_z, method=method, error_bar=err)
     text = json.dumps(report.to_json_dict(), indent=2)
     out = _out_dir(args)
@@ -278,9 +289,7 @@ def _cmd_partition_sweep(args) -> int:
             rep = partition_mod.next_order_report(n, beta, consts, log_z)
             rows.append([n, _fmt(beta), _fmt(rep.log_z), _fmt(rep.next_order), rep.method])
     out = _out_dir(args)
-    writer = csv.writer(sys.stdout if out is None else (out / "partition_sweep.csv").open("w", newline=""))
-    writer.writerow(["n", "beta", "log_z", "next_order", "method"])
-    writer.writerows(rows)
+    _write_csv(out, "partition_sweep.csv", ["n", "beta", "log_z", "next_order", "method"], rows)
     if out:
         _write_manifest(out, "partition-sweep", args, None)
     return 0

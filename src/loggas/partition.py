@@ -4,9 +4,10 @@
     next_order = (log Z + (beta/2) n^2 F(mu0) - (beta/2) n log n) / (n beta).
 
 For the quadratic model Z is a Gaussian Selberg (Mehta) integral and is
-evaluated in closed form in the log domain. Small-n tensor quadrature
-provides the independent oracle; thermodynamic integration along a
-potential path extends log Z estimates to general confining V.
+evaluated in closed form in the log domain. For n <= 3 a tensor
+Gauss-Legendre rule over the ordered region, summed in the log domain,
+provides the independent oracle for any V; thermodynamic integration
+along a potential path extends log Z estimates to larger n.
 
 Sign convention recorded from the exact quadratic oracle: next_order
 converges to +alpha/2 = +0.25 as beta grows (and the Fekete f_n to
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 from .errors import ConvergenceError
@@ -76,27 +76,25 @@ def mehta_log_z(n: int, beta: float) -> float:
     return jac + mehta
 
 
-def _w_reference(n: int, V: Potential) -> float:
-    # minimum energy shifts the integrand to order one at any beta
-    from .fekete import minimize
+def _gauss_axes(lo: np.ndarray, hi: np.ndarray, nodes: int) -> tuple[list, list]:
+    """Gauss-Legendre nodes and weights on each interval [lo_k, hi_k]."""
+    t, wt = np.polynomial.legendre.leggauss(nodes)
+    r, m = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return [mk + rk * t for mk, rk in zip(m, r)], [rk * wt for rk in r]
 
-    return energy(minimize(n, V, seed=0, multistart=1).config, V)
 
+def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
+    """log Z by a tensor Gauss-Legendre rule over the ordered region, n <= 3.
 
-def quadrature_log_z(
-    n: int,
-    beta: float,
-    V: Potential | None = None,
-    box: float = 8.0,
-    max_doublings: int = 5,
-) -> float:
-    """log Z by adaptive tensor quadrature over the ordered region.
-
-    Restricted to n <= 3. Gap variables g = u^2 resolve the |gap|^beta
-    endpoint behavior; the integrand is shifted by the minimal energy so
-    that large beta cannot underflow it to zero. The box is doubled (at
-    most `max_doublings` times) until the boundary value of the reduced
-    integrand is negligible.
+    Coordinates (x_1, u_1, ..., u_{n-1}) with gaps x_{k+1} - x_k = u_k^p,
+    p = max(2, 1/beta), turn the |gap|^beta factor into a power of u of
+    order at least 2, smooth enough at u = 0. The integrand is divided by
+    its value at the Fekete set, where w_n is least, so no beta can
+    underflow or overflow it, and summed one x_1 slab at a time. The box
+    is centred on the Fekete set; each half-width starts at 0.5/sqrt(beta)
+    and grows by sqrt(2) while the integrand on a face across that axis
+    exceeds 1e-16 of the centre value. The nodes per axis double from 40
+    until two rules agree to 1e-11, else ConvergenceError.
     """
     if n not in (1, 2, 3):
         raise ValueError("tensor quadrature supports n in {1, 2, 3}")
@@ -104,86 +102,47 @@ def quadrature_log_z(
         raise ValueError("beta must be positive")
     if V is None:
         V = quadratic()
+    from .fekete import minimize
 
-    if n == 1:
-        w_ref = _w_reference(1, V)
+    ground = minimize(n, V, seed=0, multistart=1).config
+    w_ref = energy(ground, V)
+    p = max(2.0, 1.0 / beta)
+    centre = np.concatenate([ground.points[:1], np.diff(ground.points) ** (1.0 / p)])
 
-        def f1(x):
-            return math.exp(-(beta / 2.0) * (float(V.eval(np.array([x]))[0]) - w_ref))
+    def log_f(x1, *u):
+        # log of exp(-(beta/2)(w_n - w_ref)) prod p u_k^(p-1); x1 and u broadcast
+        g = [uk**p for uk in u]
+        with np.errstate(divide="ignore"):
+            w = n * sum(V.eval(x1 + sum(g[:k])) for k in range(n))
+            w = w - 2.0 * sum(np.log(sum(g[i:j])) for i in range(n) for j in range(i + 1, n))
+            return -(beta / 2.0) * (w - w_ref) + sum(math.log(p) + (p - 1.0) * np.log(uk) for uk in u)
 
-        for _ in range(max_doublings + 1):
-            val, _ = integrate.quad(f1, -box, box, epsabs=1e-14, epsrel=1e-11, limit=400)
-            if f1(-box) < 1e-13 * val and f1(box) < 1e-13 * val:
-                return -(beta / 2.0) * w_ref + math.log(val)
-            box *= 2.0
+    peak = float(log_f(*centre))
+    half = np.full(n, 0.5 / math.sqrt(beta))
+    for _ in range(30):  # up to 2^15 times the starting half-width
+        lo, hi = centre - half, centre + half
+        lo[1:] = np.maximum(lo[1:], 0.0)
+        # 40 Gauss nodes per axis with both ends added: index 0 and -1 are the faces
+        pts, _ = _gauss_axes(lo, hi, 40)
+        vals = log_f(*np.meshgrid(*map(np.hstack, zip(lo, pts, hi)), indexing="ij", sparse=True))
+        loud = np.array([np.take(vals, [0, -1], axis=k).max() for k in range(n)]) >= peak + math.log(1e-16)
+        if not loud.any():
+            break
+        half[loud] *= math.sqrt(2.0)
+    else:
         raise ConvergenceError("integration box kept growing; V may not confine")
 
-    w_ref = _w_reference(n, V)
-    ev = lambda t: float(np.asarray(V.eval(np.array([t])))[0])
-
-    if n == 2:
-
-        def f2(u1, x1):
-            g1 = u1 * u1
-            x2 = x1 + g1
-            if g1 == 0.0:
-                return 0.0
-            w = -2.0 * math.log(g1) + 2.0 * (ev(x1) + ev(x2))
-            return math.exp(-(beta / 2.0) * (w - w_ref)) * 2.0 * u1
-
-        def run(L):
-            val, err = integrate.dblquad(
-                f2, -L, L, 0.0, math.sqrt(2.0 * L), epsabs=1e-14, epsrel=1e-11
-            )
-            return val, err
-
-        def boundary(L):
-            probes = [f2(math.sqrt(2.0 * L) * 0.999, 0.0), f2(0.5, -L), f2(0.5, L * 0.999 - 0.5)]
-            return max(abs(v) for v in probes)
-
-    else:
-
-        def f3(u2, u1, x1):
-            g1, g2 = u1 * u1, u2 * u2
-            x2 = x1 + g1
-            x3 = x2 + g2
-            if g1 == 0.0 or g2 == 0.0:
-                return 0.0
-            w = (
-                -2.0 * (math.log(g1) + math.log(g2) + math.log(g1 + g2))
-                + 3.0 * (ev(x1) + ev(x2) + ev(x3))
-            )
-            return math.exp(-(beta / 2.0) * (w - w_ref)) * 4.0 * u1 * u2
-
-        def run(L):
-            val, err = integrate.tplquad(
-                f3,
-                -L,
-                L,
-                0.0,
-                math.sqrt(2.0 * L),
-                0.0,
-                math.sqrt(2.0 * L),
-                epsabs=1e-12,
-                epsrel=1e-9,
-            )
-            return val, err
-
-        def boundary(L):
-            probes = [
-                f3(0.5, 0.5, -L),
-                f3(math.sqrt(2.0 * L) * 0.999, 0.3, -1.0),
-                f3(0.3, math.sqrt(2.0 * L) * 0.999, -1.0),
-            ]
-            return max(abs(v) for v in probes)
-
-    L = box
-    for _ in range(max_doublings + 1):
-        val, _ = run(L)
-        if val > 0 and boundary(L) < 1e-12 * val:
-            return math.log(math.factorial(n)) - (beta / 2.0) * w_ref + math.log(val)
-        L *= 2.0
-    raise ConvergenceError("integration box kept growing; V may not confine")
+    prev = change = math.inf
+    for nodes in (40, 80, 160, 320, 640):
+        pts, wts = _gauss_axes(lo, hi, nodes)
+        u = np.meshgrid(*pts[1:], indexing="ij", sparse=True)
+        w_u = math.prod(np.meshgrid(*wts[1:], indexing="ij", sparse=True))
+        total = sum(w1 * np.sum(np.exp(log_f(x1, *u) - peak) * w_u) for x1, w1 in zip(pts[0], wts[0]))
+        val = peak + math.log(total)
+        change, prev = abs(val - prev), val
+        if change <= 1e-11:
+            return math.log(math.factorial(n)) - (beta / 2.0) * w_ref + val
+    raise ConvergenceError(f"tensor rule did not settle at {nodes} nodes per axis", residual=change)
 
 
 def thermo_log_z(

@@ -96,6 +96,16 @@ def test_partition_json(capsys):
     assert "next_order" in rep and "error_bar" in rep
 
 
+def test_partition_quartic_uses_quartic_constants(capsys):
+    argv = ["partition", "--n", "2", "--beta", "2", "--potential", "quartic", "--method", "quadrature"]
+    assert dispatch(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    # invert next_order = (log Z + n^2 F - n log n) / (2 n) at n = 2, beta = 2 for F(mu0)
+    F = (4.0 * rep["next_order"] - rep["log_z"] + 2.0 * math.log(2.0)) / 4.0
+    # the quartic equilibrium (solve_equilibrium) has F = 0.6497; the semicircle's is 0.75
+    assert F == pytest.approx(0.6497, abs=1e-3)
+
+
 def test_partition_sweep_csv(capsys):
     assert dispatch(["partition-sweep", "--n", "4,8", "--beta", "1,2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

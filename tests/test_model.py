@@ -18,7 +18,7 @@ from loggas import (
     solve_equilibrium,
     zeta,
 )
-from loggas.model import EquilibriumMeasure, alpha, measure_from_json, measure_to_json
+from loggas.model import EquilibriumMeasure, _semicircle_cdf, alpha, measure_from_json, measure_to_json
 
 MU = semicircle_equilibrium()
 V2 = quadratic()
@@ -42,6 +42,20 @@ def test_semicircle_density_and_mass():
     assert MU.interval_mass(-2.0, 2.0) == pytest.approx(1.0, abs=1e-12)
     # central third of the semicircle
     assert MU.interval_mass(-1.0, 1.0) == pytest.approx(1.0 / 3.0 + math.sqrt(3.0) / (2.0 * math.pi), abs=1e-12)
+
+
+def test_semicircle_cdf_vectorized():
+    def scalar_cdf(x):
+        if x <= -2.0:
+            return 0.0
+        if x >= 2.0:
+            return 1.0
+        return 0.5 + x * math.sqrt(4.0 - x * x) / (4.0 * math.pi) + math.asin(x / 2.0) / math.pi
+
+    x = np.linspace(-2.5, 2.5, 1001)
+    # bit for bit: the quantiles built on it start the Fekete solver and the sampler
+    np.testing.assert_array_equal(_semicircle_cdf(x), [scalar_cdf(v) for v in x])
+    assert type(MU.interval_mass(-1.0, 1.0)) is float
 
 
 def test_log_potential_closed_form():

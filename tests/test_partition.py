@@ -29,9 +29,26 @@ def test_two_particle_beta_two():
     assert mehta_log_z(2, 2.0) == pytest.approx(math.log(math.pi), abs=1e-12)
 
 
-def test_quadrature_agrees_at_small_n():
+# quartic, n = 2, beta = 2: Z = int int (x - y)^2 exp(-(x^4 + y^4)/2) = 2 m_0 m_2
+# with m_k = int x^k exp(-x^4/2) dx = Gamma((k+1)/4) 2^((k+1)/4) / 2
+QUARTIC_M = [math.gamma((k + 1) / 4.0) * 2.0 ** ((k + 1) / 4.0) / 2.0 for k in (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "n, beta, V, exact",
+    [
+        (1, 0.5, V2, mehta_log_z(1, 0.5)),
+        (1, 2.0, V2, mehta_log_z(1, 2.0)),
+        (2, 1.0, V2, mehta_log_z(2, 1.0)),
+        # |gap|^(1/2): the gap exponent is not an integer
+        (3, 0.5, V2, mehta_log_z(3, 0.5)),
+        (2, 2.0, quartic(), math.log(2.0 * QUARTIC_M[0] * QUARTIC_M[1])),
+    ],
+    ids=["n1-b0.5", "n1-b2", "n2-b1", "n3-b0.5", "quartic-n2-b2"],
+)
+def test_quadrature_agrees_at_small_n(n, beta, V, exact):
     # the full (n, beta) battery runs in the acceptance suite
-    assert quadrature_log_z(2, 1.0, V2) == pytest.approx(mehta_log_z(2, 1.0), rel=1e-6)
+    assert quadrature_log_z(n, beta, V) == pytest.approx(exact, rel=1e-10)
 
 
 def test_quadrature_rejects_large_n():
