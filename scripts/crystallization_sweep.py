@@ -24,7 +24,6 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--steps", type=int, default=30_000)
     ap.add_argument("--out", default="crystallization.csv")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     betas = [float(b) for b in args.betas.split(",")]
@@ -41,7 +40,7 @@ def main() -> int:
                 chains=2,
                 seed=101 * (s + 1),
             )
-            st = run(cfg, threads=args.threads)
+            st = run(cfg)
             rows.append(
                 (beta, 101 * (s + 1), float(np.var(st.spacing_samples)), st.acceptance, st.r_hat)
             )

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -46,18 +45,6 @@ def _resolve_potential(args) -> model_mod.Potential:
             f"unknown potential {name!r}; choose from {sorted(model_mod.BUILTIN_POTENTIALS)}"
         )
     return model_mod.BUILTIN_POTENTIALS[name]()
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, int(args.threads))
-    env = os.environ.get("LOGGAS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"LOGGAS_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _out_dir(args) -> Path | None:
@@ -155,7 +142,7 @@ def _cmd_sample(args) -> int:
         chains=args.chains or 4,
         seed=args.seed or 0,
     )
-    stats = sampler_mod.run(cfg, threads=_resolve_threads(args))
+    stats = sampler_mod.run(cfg)
     out = _out_dir(args)
     provenance = {
         "n": cfg.n,
@@ -176,6 +163,8 @@ def _cmd_sample(args) -> int:
         "r_hat": stats.r_hat,
         "converged": stats.converged,
         "acceptance": stats.acceptance,
+        "chain_acceptance": [float(a) for a in stats.chain_acceptance],
+        "step_scales": [float(h) for h in stats.step_scales],
         "windows": {
             f"{x0},{R}": {
                 "mean_count": float(np.mean(trace)),
@@ -340,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "out" in flags:
             sp.add_argument("--out", help="output directory (default: print to stdout)")
         if "threads" in flags:
-            sp.add_argument("--threads", type=int, help="worker threads (or LOGGAS_THREADS)")
+            sp.add_argument("--threads", type=int, help="ignored: chains run in lockstep in one thread")
         if "method" in flags:
             sp.add_argument("--method", help="method tag")
 

@@ -1,18 +1,22 @@
 """Metropolis sampling of the Gibbs law exp(-(beta/2) w_n) / Z.
 
-Single-site random-walk proposals with O(n) energy updates. Chains are
-independent, each with its own RNG stream spawned from the master seed
-(numpy SeedSequence.spawn, so runs are bit-reproducible), and merge into
-statistics carrying a between/within-chain R-hat diagnostic. The proposal
-scale adapts toward 30-50 percent acceptance during burn-in only; it is
-frozen afterward so the invariant law is exact.
+Single-site random-walk proposals with O(n) energy updates. All chains of
+a run step in lockstep as one (chains, n) array: each step proposes one
+move per chain, and one vectorised energy change, accept rule and move
+serve every chain at once. Each chain draws its proposals from its own RNG
+stream spawned from the master seed (numpy SeedSequence.spawn), in chunks
+whose sizes do not depend on the chain count, so runs are bit-reproducible
+and a chain's output is the same however many chains run beside it.
+Chains merge into statistics carrying a between/within-chain R-hat
+diagnostic. Each chain's proposal scale adapts toward 30-50 percent
+acceptance during burn-in only; it is frozen afterward so the invariant
+law is exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +36,8 @@ __all__ = ["SamplerConfig", "ChainState", "GasStatistics", "step", "run", "metro
 
 AUDIT_INTERVAL = 10_000
 AUDIT_RTOL = 1e-8
+ADAPT_WINDOW = 500
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ class GasStatistics:
     """Merged observables of a sampler run.
 
     `samples` holds the thinned configurations, chain-major, one sorted
-    row per retained step.
+    row per retained step. `acceptance` and `chain_acceptance` count
+    post-burn-in proposals only; `step_scales` holds each chain's proposal
+    scale as frozen at the end of burn-in.
     """
 
     count_fluctuations: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]]
@@ -110,52 +118,73 @@ class GasStatistics:
     acceptance: float
     chain_count_means: dict[tuple[float, float], np.ndarray]
     samples: np.ndarray
+    chain_acceptance: np.ndarray
+    step_scales: np.ndarray
 
 
-def metropolis_accept(delta: float, beta: float, u: float) -> bool:
-    """Accept a move of energy change `delta` given uniform draw `u`."""
-    if not math.isfinite(delta):
-        return False
-    if delta <= 0.0:
-        return True
-    return u < math.exp(-0.5 * beta * delta)
+def metropolis_accept(delta, beta: float, u):
+    """Accept a move of energy change `delta` given uniform draw `u` in [0, 1).
+
+    Accepts when u < min(1, exp(-(beta/2) delta)), elementwise on arrays;
+    scalar arguments give a bool. A non-finite `delta` is always rejected.
+    """
+    ok = np.isfinite(delta) & (u < np.exp(np.minimum(-0.5 * beta * delta, 0.0)))
+    return ok if ok.ndim else bool(ok)
 
 
-def _delta_w(pts: np.ndarray, i: int, xp: float, n: int, V: Potential) -> float:
-    """Energy change when site i moves to xp; O(n) by differencing."""
-    xi = pts[i]
-    d_old = np.delete(pts, i) - xi
-    d_new = np.delete(pts, i) - xp
-    if np.any(d_new == 0.0):
-        return math.inf
-    return float(
-        -2.0 * (np.log(np.abs(d_new)).sum() - np.log(np.abs(d_old)).sum())
-        + n * (float(np.asarray(V.eval(np.array([xp])))[0]) - float(np.asarray(V.eval(np.array([xi])))[0]))
-    )
+def _delta_energy(pts: np.ndarray, sites: np.ndarray, xp: np.ndarray, xi: np.ndarray,
+                  V: Potential) -> np.ndarray:
+    """Change of w_n when row c of `pts` moves its site sites[c] from xi[c] to xp[c].
+
+    O(n) per row by differencing. A proposal onto an existing point makes
+    a log 0 = -inf term, so its change is +inf and it is never accepted.
+    """
+    m, n = pts.shape
+    z = np.concatenate([xp, xi])
+    # distances of every point to the new (d[0]) and old (d[1]) position;
+    # the moved site's own entry is set to 1 so that its log is 0
+    d = np.abs(pts - z.reshape(2, m, 1))
+    d[:, np.arange(m), sites] = 1.0
+    with np.errstate(divide="ignore"):
+        logs = np.log(d).sum(axis=2)
+    v = np.asarray(V.eval(z), dtype=float)
+    return -2.0 * (logs[0] - logs[1]) + n * (v[:m] - v[m:])
+
+
+def _advance(pts: np.ndarray, w: np.ndarray, sites: np.ndarray, dx: np.ndarray, u: np.ndarray,
+             V: Potential, beta: float) -> np.ndarray:
+    """One Metropolis step of every row: row c proposes moving site sites[c] by dx[c].
+
+    Updates the sorted rows `pts` and their cached energies `w` in place and
+    returns the accepted mask.
+    """
+    rows = np.arange(len(pts))
+    xi = pts[rows, sites]
+    xp = xi + dx
+    delta = _delta_energy(pts, sites, xp, xi, V)
+    acc = metropolis_accept(delta, beta, u)
+    pts[rows, sites] = np.where(acc, xp, xi)
+    np.add(w, delta, out=w, where=acc)
+    # an accepted move may cross a neighbour; the other rows are sorted
+    # already and have no ties, so sorting leaves them as they are
+    pts.sort(axis=1)
+    return acc
 
 
 def step(state: ChainState, cfg: SamplerConfig) -> ChainState:
     """One Metropolis step, returning the new chain state.
 
-    Kept functional for testability; `run` uses an equivalent in-place
-    loop built from the same delta and acceptance rules.
+    Runs the kernel `run` uses on a batch of one chain.
     """
-    pts = np.array(state.config.points)
-    n = cfg.n
     rng = state.rng
-    i = int(rng.integers(0, n))
-    xp = float(pts[i] + state.step_scale * rng.normal())
-    delta = _delta_w(pts, i, xp, n, cfg.V)
-    accepted = metropolis_accept(delta, cfg.beta, float(rng.random()))
-    if accepted:
-        pts[i] = xp
-        pts = np.sort(pts)
-        new_energy = state.energy + delta
-    else:
-        new_energy = state.energy
+    pts = np.array(state.config.points, dtype=float)[None, :]
+    w = np.array([state.energy])
+    sites = rng.integers(0, cfg.n, 1)
+    dx = state.step_scale * rng.normal(0.0, 1.0, 1)
+    accepted = bool(_advance(pts, w, sites, dx, rng.random(1), cfg.V, cfg.beta)[0])
     return ChainState(
-        config=Configuration(pts),
-        energy=new_energy,
+        config=Configuration(pts[0]),
+        energy=float(w[0]),
         accepted=state.accepted + int(accepted),
         proposed=state.proposed + 1,
         rng=rng,
@@ -182,88 +211,64 @@ def _initial_config(cfg: SamplerConfig, chain_idx: int, rng: np.random.Generator
     return pts
 
 
-def _run_chain(cfg: SamplerConfig, chain_idx: int, seed_seq: np.random.SeedSequence,
-               mu: EquilibriumMeasure | None):
-    rng = np.random.default_rng(seed_seq)
-    n = cfg.n
-    V = cfg.V
-    beta = cfg.beta
-    pts = _initial_config(cfg, chain_idx, rng, mu)
-    w = energy(Configuration(pts), V)
-    scale = cfg.initial_step_scale
+def _run_chains(cfg: SamplerConfig, mu: EquilibriumMeasure | None):
+    """Step every chain of `cfg` in lockstep.
+
+    Returns the thinned samples (chains, kept, n), their energies
+    (chains, kept), the post-burn-in accept count of each chain and each
+    chain's final step scale.
+    """
+    n, V = cfg.n, cfg.V
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
+    pts = np.array([_initial_config(cfg, c, rng, mu) for c, rng in enumerate(rngs)])
+    w = np.array([energy(Configuration(row), V) for row in pts])
+    scale = np.full(cfg.chains, cfg.initial_step_scale)
+    window_acc = np.zeros(cfg.chains, dtype=np.int64)
+    accepted = np.zeros(cfg.chains, dtype=np.int64)
+    samples, energies = [], []
 
     total = cfg.burn_in + cfg.steps
-    samples = []
-    energies = []
-    accepted = 0
-    proposed = 0
-    window_acc = 0
-    window_len = 0
-    CHUNK = 4096
     done = 0
-    vec_eval = V.eval
     while done < total:
+        # each chain draws its chunk in its own stream, in the order and
+        # sizes that make it independent of the other chains
         m = min(CHUNK, total - done)
-        sites = rng.integers(0, n, m)
-        moves = rng.normal(0.0, 1.0, m)
-        us = rng.random(m)
+        sites = np.stack([rng.integers(0, n, m) for rng in rngs], axis=1)
+        moves = np.stack([rng.normal(0.0, 1.0, m) for rng in rngs], axis=1)
+        us = np.stack([rng.random(m) for rng in rngs], axis=1)
         for k in range(m):
             gstep = done + k
-            i = int(sites[k])
-            xi = pts[i]
-            xp = xi + scale * moves[k]
-            d_new = pts - xp
-            d_new[i] = 1.0
-            if np.any(d_new == 0.0):
-                delta = math.inf
+            acc = _advance(pts, w, sites[k], scale * moves[k], us[k], V, cfg.beta)
+            if gstep < cfg.burn_in:
+                window_acc += acc
+                if (gstep + 1) % ADAPT_WINDOW == 0:
+                    rate = window_acc / ADAPT_WINDOW
+                    scale = np.where(rate > 0.5, scale * 1.3, np.where(rate < 0.3, scale / 1.3, scale))
+                    window_acc[:] = 0
             else:
-                d_old = pts - xi
-                d_old[i] = 1.0
-                v_new, v_old = np.asarray(vec_eval(np.array([xp, xi])), dtype=float)
-                delta = float(
-                    -2.0 * (np.log(np.abs(d_new)).sum() - np.log(np.abs(d_old)).sum())
-                    + n * (v_new - v_old)
-                )
-            proposed += 1
-            window_len += 1
-            if metropolis_accept(delta, beta, float(us[k])):
-                pts[i] = xp
-                if (i > 0 and pts[i] < pts[i - 1]) or (i < n - 1 and pts[i] > pts[i + 1]):
-                    pts = np.sort(pts)
-                w += delta
-                accepted += 1
-                window_acc += 1
-            in_burn = gstep < cfg.burn_in
-            if in_burn and window_len >= 500:
-                rate = window_acc / window_len
-                if rate > 0.5:
-                    scale *= 1.3
-                elif rate < 0.3:
-                    scale /= 1.3
-                window_acc = 0
-                window_len = 0
+                accepted += acc
             if (gstep + 1) % AUDIT_INTERVAL == 0:
-                w_true = energy(Configuration(np.sort(pts)), V)
-                if abs(w - w_true) > AUDIT_RTOL * max(1.0, abs(w_true)):
-                    raise RuntimeError(
-                        f"energy cache drifted: cached {w!r} vs exact {w_true!r}"
-                    )
-                w = w_true
-            if not in_burn and (gstep - cfg.burn_in + 1) % cfg.thinning == 0:
+                for c in range(cfg.chains):
+                    w_true = energy(Configuration(pts[c]), V)
+                    if abs(w[c] - w_true) > AUDIT_RTOL * max(1.0, abs(w_true)):
+                        raise RuntimeError(
+                            f"energy cache of chain {c} drifted: cached {float(w[c])!r} vs exact {w_true!r}"
+                        )
+                    w[c] = w_true
+            if gstep >= cfg.burn_in and (gstep - cfg.burn_in + 1) % cfg.thinning == 0:
                 samples.append(pts.copy())
-                energies.append(w)
+                energies.append(w.copy())
         done += m
-    return np.array(samples), np.array(energies), accepted, proposed, scale
+    return np.stack(samples, axis=1), np.stack(energies, axis=1), accepted, scale
 
 
-def _gelman_rubin(chain_series: list[np.ndarray]) -> float:
-    m = len(chain_series)
+def _gelman_rubin(X: np.ndarray) -> float:
+    """Classic R-hat of equal-length chain series, one row per chain."""
+    m, L = X.shape
     if m < 2:
         return 1.0
-    L = min(len(s) for s in chain_series)
     if L < 2:
         return math.inf
-    X = np.stack([s[:L] for s in chain_series])
     within = X.var(axis=1, ddof=1).mean()
     between = L * X.mean(axis=1).var(ddof=1)
     if within == 0:
@@ -275,11 +280,10 @@ def _gelman_rubin(chain_series: list[np.ndarray]) -> float:
 def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
     """Run all chains and merge observables.
 
-    The R-hat diagnostic is computed on the energy traces; statistics are
-    returned (not suppressed) even when the diagnostic fails, with
-    `converged` set accordingly. Chains run on `threads` workers; the
-    merge order is fixed by chain index, so results do not depend on
-    scheduling.
+    The chains step in lockstep in one process; `threads` is accepted for
+    old callers and ignored. The R-hat diagnostic is computed on the
+    energy traces; statistics are returned (not suppressed) even when the
+    diagnostic fails, with `converged` set accordingly.
     """
     mu: EquilibriumMeasure | None
     consts: ModelConstants | None
@@ -293,26 +297,12 @@ def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
     windows = cfg.windows if cfg.windows else ((0.0, float(cfg.n)),)
     windows = tuple((float(a), float(b)) for a, b in windows)
 
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
-    if threads > 1 and cfg.chains > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, cfg.chains)) as pool:
-            results = list(pool.map(lambda c: _run_chain(cfg, c, seqs[c], mu), range(cfg.chains)))
-    else:
-        results = [_run_chain(cfg, c, seqs[c], mu) for c in range(cfg.chains)]
-    all_samples = []
-    energy_series = []
-    accepted = 0
-    proposed = 0
-    for samples, energies, acc, prop, _ in results:
-        all_samples.append(samples)
-        energy_series.append(energies)
-        accepted += acc
-        proposed += prop
-
+    chain_samples, chain_energies, accepted, scales = _run_chains(cfg, mu)
     n = cfg.n
-    r_hat = _gelman_rubin(energy_series)
-    energies = np.concatenate(energy_series)
-    chain_means = np.array([np.mean(e) for e in energy_series])
+    flat = chain_samples.reshape(-1, n)
+    r_hat = _gelman_rubin(chain_energies)
+    energies = chain_energies.ravel()
+    chain_means = chain_energies.mean(axis=1)
     se = float(np.std(chain_means, ddof=1) / math.sqrt(cfg.chains)) if cfg.chains > 1 else float(
         np.std(energies, ddof=1) / math.sqrt(len(energies))
     )
@@ -322,13 +312,10 @@ def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
     fluct_hists = {}
     for (x0, R) in windows:
         r = R / n
-        per_chain = []
-        for samples in all_samples:
-            counts = ((samples >= x0 - r) & (samples <= x0 + r)).sum(axis=1)
-            per_chain.append(counts.astype(float))
-        trace = np.concatenate(per_chain)
+        counts = ((chain_samples >= x0 - r) & (chain_samples <= x0 + r)).sum(axis=2).astype(float)
+        trace = counts.ravel()
         count_traces[(x0, R)] = trace
-        chain_count_means[(x0, R)] = np.array([np.mean(c) for c in per_chain])
+        chain_count_means[(x0, R)] = counts.mean(axis=1)
         if mu is not None:
             base = n * mu.interval_mass(x0 - r, x0 + r)
         else:
@@ -340,17 +327,11 @@ def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
         fluct_hists[(x0, R)] = hist
 
     # normalized nearest-neighbor spacings from the bulk (central half)
-    spacings = []
     lo_i, hi_i = n // 4, max(n // 4 + 1, (3 * n) // 4)
-    for samples in all_samples:
-        gaps = np.diff(samples, axis=1)[:, lo_i : hi_i]
-        left = samples[:, lo_i:hi_i]
-        if mu is not None:
-            dens = mu.density(left)
-        else:
-            dens = np.full_like(left, 1.0)
-        spacings.append((n * dens * gaps).ravel())
-    spacing_samples = np.concatenate(spacings) if spacings else np.array([])
+    gaps = np.diff(flat, axis=1)[:, lo_i:hi_i]
+    left = flat[:, lo_i:hi_i]
+    dens = mu.density(left) if mu is not None else np.full_like(left, 1.0)
+    spacing_samples = (n * dens * gaps).ravel()
     if spacing_samples.size:
         counts, edges = np.histogram(spacing_samples, bins=40, range=(0.0, 4.0))
         total_counts = counts.sum()
@@ -358,7 +339,6 @@ def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
     else:
         spacing_hist = (np.array([]), np.array([]))
 
-    flat = np.concatenate([s.reshape(-1, n) for s in all_samples])
     if consts is not None:
         F = consts.mean_field_energy
         f_n_trace = (energies - n * n * F + n * math.log(n)) / n
@@ -374,6 +354,7 @@ def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
     else:
         pot_trace = np.array([])
 
+    chain_acceptance = accepted / cfg.steps
     return GasStatistics(
         count_fluctuations=fluct_hists,
         count_traces=count_traces,
@@ -386,7 +367,9 @@ def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
         mean_energy_se=se,
         r_hat=r_hat,
         converged=bool(r_hat <= 1.1),
-        acceptance=accepted / max(1, proposed),
+        acceptance=float(np.mean(chain_acceptance)),
         chain_count_means=chain_count_means,
         samples=flat,
+        chain_acceptance=chain_acceptance,
+        step_scales=scales,
     )

@@ -7,7 +7,7 @@ from scipy import stats as sps
 
 from loggas import SamplerConfig, metropolis_accept, minimize, quadratic, run, step
 from loggas.hamiltonian import Configuration, energy
-from loggas.sampler import ChainState, _delta_w
+from loggas.sampler import ChainState, _delta_energy
 
 V2 = quadratic()
 
@@ -21,19 +21,25 @@ def test_accept_rules():
 
 @settings(deadline=None, max_examples=100)
 @given(
-    st.floats(-50.0, 50.0),
+    st.lists(
+        st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=1,
+        max_size=8,
+    ),
     st.floats(0.01, 100.0),
-    st.floats(0.0, 1.0, exclude_max=True),
 )
-def test_accept_matches_rule(delta, beta, u):
-    expect = delta <= 0.0 or u < math.exp(-0.5 * beta * delta)
-    assert metropolis_accept(delta, beta, u) == expect
+def test_accept_matches_rule(moves, beta):
+    expect = [delta <= 0.0 or u < math.exp(-0.5 * beta * delta) for delta, u in moves]
+    assert [metropolis_accept(delta, beta, u) for delta, u in moves] == expect
+    deltas, us = (np.array(col) for col in zip(*moves))
+    assert metropolis_accept(deltas, beta, us).tolist() == expect
 
 
 def test_proposal_onto_existing_point_rejected():
-    pts = np.array([-0.5, 0.1, 0.9])
-    assert _delta_w(pts, 0, 0.1, 3, V2) == math.inf
-    assert not metropolis_accept(_delta_w(pts, 0, 0.1, 3, V2), 2.0, 0.0)
+    pts = np.array([[-0.5, 0.1, 0.9]])
+    delta = _delta_energy(pts, np.array([0]), np.array([0.1]), np.array([-0.5]), V2)[0]
+    assert delta == math.inf
+    assert not metropolis_accept(delta, 2.0, 0.0)
 
 
 def test_step_preserves_invariants():
@@ -147,6 +153,24 @@ def test_runs_are_reproducible_and_thread_invariant():
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.samples, c.samples)
     assert a.mean_energy == b.mean_energy == c.mean_energy
+
+
+def test_chains_do_not_depend_on_chain_count():
+    # 10,500 steps cross a 4096-step chunk boundary and an energy audit
+    cfg = SamplerConfig(n=8, beta=2.0, V=V2, steps=9_500, burn_in=1_000, thinning=10, chains=2, seed=4)
+    two = run(cfg)
+    five = run(cfg.replaced(chains=5))
+    assert np.array_equal(five.samples[: len(two.samples)], two.samples)
+    assert np.array_equal(five.step_scales[:2], two.step_scales)
+    assert np.array_equal(five.chain_acceptance[:2], two.chain_acceptance)
+
+
+def test_acceptance_is_mean_of_chain_acceptance():
+    out = _short_run(2.0, 3)
+    assert out.chain_acceptance.shape == (2,)
+    assert out.step_scales.shape == (2,)
+    assert out.acceptance == np.mean(out.chain_acceptance)
+    assert np.all((out.chain_acceptance > 0.0) & (out.chain_acceptance < 1.0))
 
 
 def test_config_validation():
