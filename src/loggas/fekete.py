@@ -27,6 +27,7 @@ from .model import (
     ModelConstants,
     Potential,
     model_constants,
+    quadratic,
     semicircle_equilibrium,
 )
 
@@ -50,8 +51,10 @@ class FeketeResult:
 
 
 def _orthonormal_hermite(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Value of the degree-n orthonormal Hermite polynomial and its
-    derivative h_n' = sqrt(2 n) h_{n-1}, by the stable recurrence."""
+    """h_n and h_n' = sqrt(2 n) h_{n-1} by the stable recurrence, both times
+    a power of two per point: Newton reads only sign(h_n) and h_n / h_n',
+    and rescaling every 32 levels keeps degrees 700 and up from overflowing
+    near the edge roots without changing any rounding."""
     h_prev = np.full_like(y, math.pi ** -0.25)
     if n == 0:
         return h_prev, np.zeros_like(y)
@@ -60,6 +63,9 @@ def _orthonormal_hermite(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
         h_prev, h_cur = h_cur, y * math.sqrt(2.0 / (k + 1)) * h_cur - math.sqrt(
             k / (k + 1.0)
         ) * h_prev
+        if k % 32 == 0:
+            _, e = np.frexp(np.maximum(np.abs(h_prev), np.abs(h_cur)))
+            h_prev, h_cur = np.ldexp(h_prev, -e), np.ldexp(h_cur, -e)
     return h_cur, math.sqrt(2.0 * n) * h_prev
 
 
@@ -118,93 +124,76 @@ def hermite_oracle(n: int) -> Configuration:
 # optimizer
 
 
-def _tridiagonal_newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.ndarray:
-    """Solve H d = -g with the tridiagonal part of the w_n Hessian.
+def quantile_start(n: int, mu: EquilibriumMeasure | None) -> np.ndarray:
+    """The start rule of the solver and the sampler: the midpoint quantiles
+    of `mu`, or Gaussian quantiles as a generic confined start."""
+    if mu is not None:
+        return mu.quantiles(n)
+    from scipy.special import ndtri
 
-    Diagonal 2 sum_j 1/(x_i-x_j)^2 + n V''(x_i) dominates the discarded
-    entries, so the truncated H is strictly diagonally dominant and the
-    step is a descent direction. V'' by central differencing of V'.
+    return ndtri((np.arange(n) + 0.5) / n)
+
+
+def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.ndarray:
+    """Solve (H + s I) d = -g with the full w_n Hessian H: n diag V'' (by
+    central differencing of V') plus the positive semidefinite Laplacian
+    with off-diagonal -2/(x_i-x_j)^2. So s = 0 when H factors; else the
+    Levenberg shift s starts above the Gershgorin bound -n min V'' and
+    grows tenfold while rounding still defeats the Cholesky factorisation.
     """
-    diff = pts[:, None] - pts[None, :]
-    np.fill_diagonal(diff, np.inf)
-    inv2 = 1.0 / (diff * diff)
+    H = pts[:, None] - pts[None, :]
+    np.fill_diagonal(H, np.inf)
+    H *= H
+    np.divide(-2.0, H, out=H)
     h = 1e-6 * max(1.0, float(np.max(np.abs(pts))))
-    vpp = (np.asarray(V.deriv(pts + h)) - np.asarray(V.deriv(pts - h))) / (2.0 * h)
-    diag = 2.0 * inv2.sum(axis=1) + n * vpp
-    gaps = np.diff(pts)
-    off = -2.0 / (gaps * gaps)
-    # Thomas solve of the tridiagonal system
-    a = np.array(diag)
-    b = np.array(off)
-    rhs = -np.array(g)
-    for i in range(1, len(pts)):
-        wgt = b[i - 1] / a[i - 1]
-        a[i] -= wgt * b[i - 1]
-        rhs[i] -= wgt * rhs[i - 1]
-    d = np.empty_like(rhs)
-    d[-1] = rhs[-1] / a[-1]
-    for i in range(len(pts) - 2, -1, -1):
-        d[i] = (rhs[i] - b[i] * d[i + 1]) / a[i]
-    return d
+    nvpp = n * (np.asarray(V.deriv(pts + h)) - np.asarray(V.deriv(pts - h))) / (2.0 * h)
+    diag = nvpp - H.sum(axis=1)
+    shift = 0.0
+    for _ in range(20):
+        np.fill_diagonal(H, diag + shift)
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            floor = max(0.0, -float(np.min(nvpp))) + 1e-12 * float(np.max(np.abs(diag)))
+            shift = max(10.0 * shift, floor)
+            continue
+        # numpy has no triangular solve: one LU beats two through the factor
+        return np.linalg.solve(H, -g)
+    raise ConvergenceError("no Levenberg shift made the w_n Hessian positive definite")
 
 
-def _descend(
-    x0: np.ndarray,
-    V: Potential,
-    n: int,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, float, int, bool]:
+def _descend(x0: np.ndarray, V: Potential, n: int, tol: float,
+             max_iter: int) -> tuple[np.ndarray, float, int, bool, list[float]]:
+    """Newton iteration on w_n from the ordered start x0. Each step is
+    halved until the points stay ordered and w falls, or rises by at most
+    rounding noise while the gradient falls; the trace keeps min w so far.
+    """
     pts = np.array(x0)
-    cfg = Configuration(pts)
-    w = energy(cfg, V)
-    g = gradient(cfg, V)
+    w = energy(Configuration(pts), V)
+    g = gradient(Configuration(pts), V)
     gn = float(np.max(np.abs(g)))
-    newton_gate = 1e-3 * n
     trace = [w]
     for it in range(max_iter):
         if gn <= tol:
             return pts, gn, it, True, trace
-        if gn < newton_gate:
-            # Newton tail: energy decrements shrink below ulp(w) long
-            # before the gradient target, so accept on gradient descent,
-            # guarded so w can never rise by more than rounding noise
-            d = _tridiagonal_newton_step(pts, g, V, n)
-            slack = 1e-14 * max(1.0, abs(w))
-            step = 1.0
-            for _ in range(60):
-                cand = pts + step * d
-                if np.all(np.diff(cand) > 0):
-                    g_new = gradient(Configuration(cand), V)
-                    gn_new = float(np.max(np.abs(g_new)))
-                    w_new = energy(Configuration(cand), V)
-                    if gn_new < gn and w_new <= w + slack:
-                        pts, g, gn = cand, g_new, gn_new
-                        w = min(w, w_new)
-                        trace.append(w)
-                        break
-                step *= 0.5
-            else:
-                return pts, gn, it, gn <= tol, trace
-            continue
-        d = -g / (1.0 + gn)
-        # backtrack: keep ordering and demand strict energy decrease
+        d = _newton_step(pts, g, V, n)
+        slack = 1e-14 * max(1.0, abs(w))
         step = 1.0
         for _ in range(60):
             cand = pts + step * d
             if np.all(np.diff(cand) > 0):
                 w_new = energy(Configuration(cand), V)
-                if w_new < w:
-                    pts = cand
-                    w = w_new
-                    trace.append(w)
-                    break
+                if w_new <= w + slack:
+                    g_new = gradient(Configuration(cand), V)
+                    gn_new = float(np.max(np.abs(g_new)))
+                    if w_new < w or gn_new < gn:
+                        pts, g, gn = cand, g_new, gn_new
+                        w = min(w, w_new)
+                        trace.append(w)
+                        break
             step *= 0.5
         else:
-            # no admissible decrease along this direction
-            return pts, gn, it, gn <= tol, trace
-        g = gradient(Configuration(pts), V)
-        gn = float(np.max(np.abs(g)))
+            return pts, gn, it, False, trace
     return pts, gn, max_iter, gn <= tol, trace
 
 
@@ -218,7 +207,11 @@ def minimize(
     consts: ModelConstants | None = None,
     multistart: int = 3,
 ) -> FeketeResult:
-    """Minimize w_n by Armijo descent with a damped tridiagonal Newton tail.
+    """Minimize w_n by Newton's method on its full Hessian.
+
+    Each step solves with the Hessian, Levenberg-shifted where V is not
+    convex, and is halved until it keeps the points ordered and lowers
+    w_n (see `_descend`).
 
     Parameters
     ----------
@@ -233,7 +226,8 @@ def minimize(
         Sup-norm gradient target; defaults to 1e-10 * n (scale-aware).
     mu : EquilibriumMeasure, optional
         Measure whose quantiles seed the starts; semicircle by default
-        for the quadratic model, Gaussian quantiles otherwise.
+        for the quadratic model, Gaussian quantiles otherwise. A single
+        point starts from a bounded scalar search on V instead.
     consts : ModelConstants, optional
         Passed through to the energy breakdown when supplied with `mu`.
 
@@ -246,71 +240,39 @@ def minimize(
     if n < 1:
         raise ValueError("n must be at least 1")
     if V is None:
-        V = _default_quadratic()
+        V = quadratic()
     if tol is None:
         tol = 1e-10 * n
+    if mu is None and V.label == "quadratic":
+        mu = semicircle_equilibrium()
+    if consts is None and mu is not None and mu.closed_form == "semicircle" and V.label == "quadratic":
+        consts = model_constants(mu, V)
     if n == 1:
-        # minimize V directly: bounded scalar search plus Newton polish on V'
+        # a bounded scalar search, not the quantile x = 0, which is a
+        # stationary maximum of the double well
         from scipy.optimize import minimize_scalar
 
         R = V.growth_check_radius
-        res = minimize_scalar(
-            lambda t: float(np.asarray(V.eval(np.array([t])))[0]),
-            bounds=(-R, R),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        x = float(res.x)
-        for _ in range(50):
-            h = 1e-7 * max(1.0, abs(x))
-            d1 = float(np.asarray(V.deriv(np.array([x])))[0])
-            d2 = (
-                float(np.asarray(V.deriv(np.array([x + h])))[0])
-                - float(np.asarray(V.deriv(np.array([x - h])))[0])
-            ) / (2 * h)
-            if abs(d1) < 1e-15 or d2 <= 0:
-                break
-            x -= d1 / d2
-        cfg = Configuration(np.array([x]))
-        bd = breakdown(cfg, V, mu, consts) if mu is not None and consts is not None else None
-        return FeketeResult(cfg, abs(float(V.deriv(np.array([x]))[0])), 0, True, bd)
-
-    if mu is None and V.label == "quadratic":
-        mu = semicircle_equilibrium()
-    if mu is not None:
-        base = mu.quantiles(n)
+        res = minimize_scalar(lambda t: float(np.asarray(V.eval(np.array([t])))[0]),
+                              bounds=(-R, R), method="bounded", options={"xatol": 1e-12})
+        base = np.array([float(res.x)])
     else:
-        # Gaussian quantiles as a generic confined start
-        from scipy.special import ndtri
-
-        base = ndtri((np.arange(n) + 0.5) / n)
+        base = quantile_start(n, mu)
 
     rng_master = np.random.default_rng(seed)
-    best: tuple[float, float, np.ndarray, int, bool] | None = None
-    min_gap = float(np.min(np.diff(base))) if n > 1 else 1.0
+    jitter = 0.2 * (float(np.min(np.diff(base))) if n > 1 else 1.0)
+    runs = []
     for start in range(multistart):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
-        if start == 0:
-            x0 = base.copy()
-        else:
-            jitter = 0.2 * min_gap
+        x0 = base
+        if start > 0:
             x0 = np.sort(base + rng.normal(0.0, jitter, n))
             while np.any(np.diff(x0) <= 0):
                 x0 = np.sort(base + rng.normal(0.0, jitter, n))
         pts, gn, its, ok, trace = _descend(x0, V, n, tol, max_iter)
-        w = energy(Configuration(pts), V)
-        cand = (w, gn, pts, its, ok, trace)
-        if best is None or (w, gn) < (best[0], best[1]):
-            best = cand
-    w, gn, pts, its, ok, trace = best
+        runs.append((energy(Configuration(pts), V), gn, pts, its, ok, trace))
+    # lowest final energy wins, ties to the smaller gradient, then the earlier start
+    _, gn, pts, its, ok, trace = min(runs, key=lambda r: r[:2])
     cfg = Configuration(pts)
-    if consts is None and mu is not None and mu.closed_form == "semicircle" and V.label == "quadratic":
-        consts = model_constants(mu, V)
     bd = breakdown(cfg, V, mu, consts) if (mu is not None and consts is not None) else None
     return FeketeResult(cfg, gn, its, ok, bd, tuple(trace))
-
-
-def _default_quadratic() -> Potential:
-    from .model import quadratic
-
-    return quadratic()

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .fekete import minimize, quantile_start
 from .hamiltonian import Configuration, energy
 from .model import (
     EquilibriumMeasure,
@@ -194,16 +195,9 @@ def step(state: ChainState, cfg: SamplerConfig) -> ChainState:
 
 def _initial_config(cfg: SamplerConfig, chain_idx: int, rng: np.random.Generator,
                     mu: EquilibriumMeasure | None) -> np.ndarray:
-    if mu is not None:
-        base = mu.quantiles(cfg.n)
-    else:
-        from scipy.special import ndtri
-
-        base = ndtri((np.arange(cfg.n) + 0.5) / cfg.n)
     if cfg.init == "fekete" and chain_idx == 0:
-        from .fekete import minimize
-
         return np.array(minimize(cfg.n, cfg.V, seed=0, multistart=1, tol=1e-8 * cfg.n).config.points)
+    base = quantile_start(cfg.n, mu)
     gap = float(np.min(np.diff(base))) if cfg.n > 1 else 1.0
     pts = np.sort(base + rng.normal(0.0, 0.3 * gap, cfg.n))
     while np.any(np.diff(pts) <= 0):

@@ -151,7 +151,7 @@ def check_ground_state_limit() -> CheckResult:
     """|f_n| at minimizers approaches alpha = 1/2 monotonically.
 
     The distance ||f_n| - 1/2| must decrease strictly along
-    n in {16, 32, 64, 128, 256} and end below 0.15. The sign of f_n
+    n in {16, 32, ..., 1024} and end below 0.15. The sign of f_n
     itself is pinned separately in the regression suite.
     """
 
@@ -159,7 +159,7 @@ def check_ground_state_limit() -> CheckResult:
         V = model_mod.quadratic()
         dists = []
         vals = []
-        for n in (16, 32, 64, 128, 256):
+        for n in (16, 32, 64, 128, 256, 512, 1024):
             res = fekete_mod.minimize(n, V, seed=11, multistart=1)
             f_n = res.breakdown.f_n
             vals.append(f_n)

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from loggas import gradient, hermite_oracle, minimize, quadratic
+from scipy.special import roots_hermite
+
+from loggas import double_well, gradient, hermite_oracle, minimize, quadratic, quartic
+from loggas.fekete import _newton_roots
 
 V2 = quadratic()
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -21,6 +24,15 @@ def test_single_point_minimizer():
     assert res.config.points[0] == pytest.approx(0.0, abs=1e-10)
 
 
+def test_single_point_result_is_complete():
+    # n = 1 runs the same Newton solve as n >= 2, so it reports the same
+    # semicircle breakdown (F = 3/4, so f_1 = w_1 - 3/4) and energy trace
+    res = minimize(1, V2, multistart=1)
+    assert res.breakdown is not None
+    assert res.breakdown.f_n == pytest.approx(-0.75, abs=1e-12)
+    assert res.energy_trace and res.energy_trace[-1] == res.breakdown.w_n
+
+
 def test_oracle_small_cases():
     assert hermite_oracle(1).points[0] == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(hermite_oracle(2).points, [-INV_SQRT2, INV_SQRT2], atol=1e-13)
@@ -30,6 +42,15 @@ def test_oracle_small_cases():
 def test_oracle_stationarity(n):
     g = gradient(hermite_oracle(n), V2)
     assert np.max(np.abs(g)) <= 1e-9 * n
+
+
+def test_oracle_survives_edge_overflow():
+    # one level of the climb past degree 700, where the unscaled
+    # recurrence overflows at the edge roots
+    inner = roots_hermite(799)[0]
+    bound = math.sqrt(1600.0) + 1.0
+    roots = _newton_roots(800, np.concatenate([[-bound], inner]), np.concatenate([inner, [bound]]))
+    assert np.max(np.abs(roots - roots_hermite(800)[0])) <= 1e-12
 
 
 def test_oracle_interlacing():
@@ -44,6 +65,29 @@ def test_minimize_matches_oracle_16():
     res = minimize(16, V2, seed=0)
     assert res.converged
     assert np.max(np.abs(res.config.points - hermite_oracle(16).points)) <= 1e-8
+
+
+def test_newton_converges_fast_to_hermite_roots():
+    # scipy's Gauss-Hermite nodes stand in for hermite_oracle(256), which
+    # agrees with them to 2e-15 but climbs 255 levels to get there
+    res = minimize(256, V2, multistart=1)
+    assert res.converged and res.iterations <= 10
+    ref = math.sqrt(2.0 / 256) * roots_hermite(256)[0]
+    assert np.max(np.abs(res.config.points - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "V, n",
+    [(double_well(), 1), (double_well(), 2), (double_well(), 3), (double_well(), 16), (quartic(), 16)],
+    ids=["double_well-1", "double_well-2", "double_well-3", "double_well-16", "quartic-16"],
+)
+def test_nonconvex_and_quartic_converge(V, n):
+    # the double well is not convex, so its Hessian needs a Levenberg shift
+    res = minimize(n, V, multistart=1)
+    assert res.converged
+    assert np.max(np.abs(gradient(res.config, V))) <= 1e-10 * n
+    trace = np.asarray(res.energy_trace)
+    assert np.all(np.diff(trace) <= 1e-14 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
 def test_minimizer_support_near_equilibrium():
@@ -85,8 +129,8 @@ def test_ground_state_next_order_sign():
 
 
 def test_nonconverged_flagged():
-    res = minimize(24, V2, seed=0, max_iter=3, multistart=1)
-    assert not res.converged
+    res = minimize(24, V2, seed=0, max_iter=2, multistart=1)
+    assert not res.converged and res.iterations == 2
     assert res.grad_norm > 0.0
 
 
