@@ -11,7 +11,7 @@ for the matching -f_n/2 story at beta -> infinity).
 import argparse
 import csv
 
-from loggas import mehta_log_z, model_constants, next_order_report, quadratic, semicircle_equilibrium
+from loggas import equilibrium_for, mehta_log_z, next_order_report, quadratic
 
 
 def main() -> int:
@@ -21,7 +21,7 @@ def main() -> int:
     ap.add_argument("--out", default="next_order.csv")
     args = ap.parse_args()
 
-    consts = model_constants(semicircle_equilibrium(), quadratic())
+    _, consts = equilibrium_for(quadratic())
     ns = [int(v) for v in args.ns.split(",")]
     betas = [float(v) for v in args.betas.split(",")]
 

@@ -17,6 +17,7 @@ from .model import (
     Potential,
     blend,
     double_well,
+    equilibrium_for,
     log_potential,
     mean_field_energy,
     model_constants,
@@ -68,6 +69,7 @@ __all__ = [
     "discrepancy",
     "double_well",
     "energy",
+    "equilibrium_for",
     "gradient",
     "hermite_oracle",
     "lattice",

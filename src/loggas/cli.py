@@ -108,11 +108,7 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_fekete(args) -> int:
     V = _resolve_potential(args)
-    mu = model_mod.semicircle_equilibrium() if V.label == "quadratic" else None
-    consts = model_mod.model_constants(mu, V) if mu is not None else None
-    res = fekete_mod.minimize(
-        args.n, V, seed=args.seed or 0, tol=args.tol, mu=mu, consts=consts
-    )
+    res = fekete_mod.minimize(args.n, V, seed=args.seed or 0, tol=args.tol)
     payload = {
         "n": args.n,
         "points": [float(v) for v in res.config.points],
@@ -243,7 +239,7 @@ def _cmd_partition(args) -> int:
     n, beta = args.n, args.beta
     err = 0.0
     if method == "exact-quadratic":
-        if V.label != "quadratic":
+        if model_mod.equilibrium_for(V) is None:
             raise ValueError("exact-quadratic method requires the quadratic potential")
         log_z = partition_mod.mehta_log_z(n, beta)
     elif method == "quadrature":
@@ -252,10 +248,7 @@ def _cmd_partition(args) -> int:
         log_z, err = partition_mod.thermo_log_z(n, beta, V)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if V.label == "quadratic":
-        consts = model_mod.model_constants(model_mod.semicircle_equilibrium(), V)
-    else:
-        _, consts = _solve_equilibrium(V)
+    _, consts = model_mod.equilibrium_for(V) or _solve_equilibrium(V)
     report = partition_mod.next_order_report(n, beta, consts, log_z, method=method, error_bar=err)
     text = json.dumps(report.to_json_dict(), indent=2)
     out = _out_dir(args)
@@ -270,7 +263,7 @@ def _cmd_partition(args) -> int:
 def _cmd_partition_sweep(args) -> int:
     ns = [int(t) for t in str(args.n).split(",")]
     betas = [float(t) for t in str(args.beta).split(",")]
-    consts = model_mod.model_constants(model_mod.semicircle_equilibrium(), model_mod.quadratic())
+    _, consts = model_mod.equilibrium_for(model_mod.quadratic())
     rows = []
     for n in ns:
         for beta in betas:

@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .hamiltonian import Configuration, EnergyBreakdown, breakdown, energy, gradient
-from .model import (
-    EquilibriumMeasure,
-    ModelConstants,
-    Potential,
-    model_constants,
-    quadratic,
-    semicircle_equilibrium,
-)
+from .model import EquilibriumMeasure, Potential, equilibrium_for, quadratic
 
 __all__ = ["FeketeResult", "minimize", "hermite_oracle"]
 
@@ -203,8 +196,6 @@ def minimize(
     seed: int = 0,
     tol: float | None = None,
     max_iter: int = 2000,
-    mu: EquilibriumMeasure | None = None,
-    consts: ModelConstants | None = None,
     multistart: int = 3,
 ) -> FeketeResult:
     """Minimize w_n by Newton's method on its full Hessian.
@@ -224,18 +215,16 @@ def minimize(
         the best final energy wins (ties broken by gradient norm).
     tol : float, optional
         Sup-norm gradient target; defaults to 1e-10 * n (scale-aware).
-    mu : EquilibriumMeasure, optional
-        Measure whose quantiles seed the starts; semicircle by default
-        for the quadratic model, Gaussian quantiles otherwise. A single
-        point starts from a bounded scalar search on V instead.
-    consts : ModelConstants, optional
-        Passed through to the energy breakdown when supplied with `mu`.
+
+    The starts are the quantiles of V's closed-form equilibrium measure
+    (`equilibrium_for`), Gaussian quantiles when V has none; a single
+    point starts from a bounded scalar search on V instead.
 
     Returns
     -------
     FeketeResult
         With `converged` false (and diagnostics kept) if no start reached
-        the tolerance.
+        the tolerance; `breakdown` is None when V has no closed form.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -243,10 +232,7 @@ def minimize(
         V = quadratic()
     if tol is None:
         tol = 1e-10 * n
-    if mu is None and V.label == "quadratic":
-        mu = semicircle_equilibrium()
-    if consts is None and mu is not None and mu.closed_form == "semicircle" and V.label == "quadratic":
-        consts = model_constants(mu, V)
+    mu, consts = equilibrium_for(V) or (None, None)
     if n == 1:
         # a bounded scalar search, not the quantile x = 0, which is a
         # stationary maximum of the double well
@@ -274,5 +260,5 @@ def minimize(
     # lowest final energy wins, ties to the smaller gradient, then the earlier start
     _, gn, pts, its, ok, trace = min(runs, key=lambda r: r[:2])
     cfg = Configuration(pts)
-    bd = breakdown(cfg, V, mu, consts) if (mu is not None and consts is not None) else None
+    bd = breakdown(cfg, V, mu, consts) if mu is not None else None
     return FeketeResult(cfg, gn, its, ok, bd, tuple(trace))

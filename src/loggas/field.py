@@ -136,9 +136,10 @@ def w_quadrature(
         Cells per dyadic band near charges; the midpoint error scales
         like refine^-2 against the 1/r^2 energy density.
 
-    Nodes falling exactly on a charge make the integrand non-finite; the
-    mesh is then rebuilt with a small deterministic jitter, and three
-    failures raise RuntimeError.
+    Every patch edge p +- s and the height y = s are mesh lines, so each
+    kept Gauss node lies at inf-distance >= s - 1e-12 from every charge
+    and each polar node at r >= eta; a non-finite integrand still raises
+    FloatingPointError rather than return a wrong number.
     """
     cfg = field.config
     N = cfg.period
@@ -153,41 +154,14 @@ def w_quadrature(
     if eta >= 0.5 * min_gap:
         raise ValueError("eta too large: must be below half the minimal gap")
 
-    jitter_rng = np.random.default_rng(
-        abs(hash((N, round(float(pts.sum()) * 1e9)))) % 2**32
-    )
-    last_err: Exception | None = None
-    for _attempt in range(3):
-        try:
-            return _w_quadrature_once(
-                field, pts, N, n, eta, y_cut, nodes_per_unit, refine,
-                origin=float(jitter_rng.uniform(0.0, 1.0 / nodes_per_unit)) if _attempt else 0.0,
-            )
-        except FloatingPointError as exc:  # pragma: no cover - defensive
-            last_err = exc
-    raise RuntimeError(f"quadrature nodes kept hitting charges: {last_err}")
-
-
-def _w_quadrature_once(
-    field: CylinderField,
-    pts: np.ndarray,
-    N: int,
-    n: int,
-    eta: float,
-    y_cut: float,
-    nodes_per_unit: int,
-    refine: int,
-    origin: float,
-) -> float:
     h0 = 1.0 / nodes_per_unit
-    gaps = np.diff(np.append(pts, pts[0] + N)) if n > 1 else np.array([float(N)])
-    s = min(0.49 * float(gaps.min()), h0)
+    s = min(0.49 * min_gap, h0)
     levels = 0
     while s * 2**levels < 4.0 * h0 and s * 2**levels < 0.25 * N:
         levels += 1
     ladder = _distance_ladder(s, levels, refine)
 
-    xb = set(np.round((np.arange(0.0, N, h0) + origin) % N, 12))
+    xb = set(np.round(np.arange(0.0, N, h0) % N, 12))
     for p in pts:
         for d in ladder:
             xb.add(round((p - d) % N, 12))

@@ -88,8 +88,6 @@ def energy(config: Configuration, V: Potential) -> float:
     if n == 1:
         return float(n * V.eval(pts).sum())
     d = _pair_distances(pts)
-    if np.any(d == 0.0):
-        raise DegenerateConfigError("coincident points: logarithmic energy diverges")
     interaction = -2.0 * math.fsum(np.log(d).tolist())
     confinement = n * math.fsum(np.asarray(V.eval(pts), dtype=float).tolist())
     return interaction + confinement

@@ -9,7 +9,8 @@ optimality condition U(x) + V(x)/2 = c on the support and >= c outside,
 where U is the logarithmic potential of mu0 and c the Robin constant.
 This module provides the quadratic closed form (semicircle), a simplex
 projected-gradient solver for general V, and the derived constants
-c, F(mu0), and alpha = int m0 log(2 pi m0).
+c, F(mu0), and alpha = int m0 log(2 pi m0). `equilibrium_for` is the one
+place that maps a potential to its closed form.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "BUILTIN_POTENTIALS",
     "adaptive_gauss_legendre",
     "semicircle_equilibrium",
+    "equilibrium_for",
     "solve_equilibrium",
     "log_potential",
     "zeta",
@@ -64,13 +66,18 @@ class Potential:
         Radius beyond which V(x)/2 - log|x| is expected to increase; used
         by confinement checks, not by the solvers themselves.
     label : str
-        Short human-readable name.
+        Short human-readable name, for display only.
+    closed_form : str, optional
+        Tag of V's closed-form equilibrium measure, in the vocabulary of
+        `EquilibriumMeasure.closed_form` ("semicircle" for x^2/2); None
+        when the measure must be solved for. Read by `equilibrium_for`.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     growth_check_radius: float
     label: str
+    closed_form: str | None = None
 
     def __call__(self, x):
         return self.eval(x)
@@ -97,6 +104,7 @@ def quadratic() -> Potential:
         deriv=lambda x: np.asarray(x, dtype=float),
         growth_check_radius=4.0,
         label="quadratic",
+        closed_form="semicircle",
     )
 
 
@@ -123,11 +131,15 @@ def double_well() -> Potential:
 def polynomial(coeffs: Sequence[float]) -> Potential:
     """Potential from ascending coefficients: V(x) = sum_k coeffs[k] x^k.
 
-    The derivative is taken on the coefficients, so it is exact.
+    The derivative is taken on the coefficients, so it is exact. The
+    coefficients of x^2/2 (trailing zeros aside) give `quadratic()`, so
+    that V keeps its closed form.
     """
     c = np.asarray(list(coeffs), dtype=float)
     if c.size == 0:
         raise ValueError("polynomial potential needs at least one coefficient")
+    if tuple(np.trim_zeros(c, "b")) == (0.0, 0.0, 0.5):
+        return quadratic()
     dc = c[1:] * np.arange(1, c.size)
     return Potential(
         eval=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c),
@@ -364,12 +376,16 @@ def log_potential(mu: EquilibriumMeasure, x, tol: float = 1e-8):
 
 
 def zeta(mu: EquilibriumMeasure, V: Potential, c: float, x) -> np.ndarray:
-    """Effective potential zeta = U + V/2 - c; zero on the support, >= 0 off it."""
+    """Effective potential zeta = U + V/2 - c; zero on the support, >= 0 off it.
+
+    The semicircle paired with a V tagged "semicircle" uses the exact
+    zeta of x^2/2 shifted by SEMICIRCLE_C - c; any other pair sums U and V.
+    """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if mu.closed_form == "semicircle" and V.label == "quadratic" and c == SEMICIRCLE_C:
-        z = _semicircle_zeta(x)
+    if mu.closed_form == "semicircle" and V.closed_form == "semicircle":
+        z = _semicircle_zeta(x) + (SEMICIRCLE_C - c)
     else:
         z = log_potential(mu, x) + V.eval(x) / 2.0 - c
     return float(z[0]) if scalar else z
@@ -427,12 +443,16 @@ class ModelConstants:
 def model_constants(mu: EquilibriumMeasure, V: Potential) -> ModelConstants:
     """Compute (c, F, alpha) for a measure-potential pair.
 
-    The quadratic closed form returns the exact constants (1/2, 3/4, 1/2).
-    Grid measures extract c as the median of U + V/2 over the interior 80
-    percent of the numerical support, which is robust to edge cells.
+    A closed-form measure returns the exact constants of `equilibrium_for`
+    ((1/2, 3/4, 1/2) for the semicircle) and raises ValueError unless V
+    carries the same closed-form tag. Grid measures extract c as the
+    median of U + V/2 over the interior 80 percent of the numerical
+    support, which is robust to edge cells.
     """
-    if mu.closed_form == "semicircle" and V.label == "quadratic":
-        return ModelConstants(SEMICIRCLE_C, SEMICIRCLE_F, SEMICIRCLE_ALPHA)
+    if mu.closed_form is not None:
+        if V.closed_form != mu.closed_form:
+            raise ValueError(f"the {mu.closed_form} measure is not the equilibrium of V = {V.label}")
+        return equilibrium_for(V)[1]
     w = mu.weights
     sup = np.where(w > 1e-10)[0]
     cut = max(1, int(0.1 * len(sup)))
@@ -441,6 +461,15 @@ def model_constants(mu: EquilibriumMeasure, V: Potential) -> ModelConstants:
     r = K @ w + V.eval(mu.nodes) / 2.0
     c = float(np.median(r[interior]))
     return ModelConstants(c, mean_field_energy(mu, V), alpha(mu))
+
+
+def equilibrium_for(V: Potential) -> tuple[EquilibriumMeasure, ModelConstants] | None:
+    """The closed-form equilibrium measure of V and its constants (c, F,
+    alpha), or None when V has no closed form (`solve_equilibrium` then
+    applies). Decided by V's `closed_form` tag alone: no solve, no cache."""
+    if V.closed_form == "semicircle":
+        return semicircle_equilibrium(), ModelConstants(SEMICIRCLE_C, SEMICIRCLE_F, SEMICIRCLE_ALPHA)
+    return None
 
 
 def _f2(t: np.ndarray) -> np.ndarray:

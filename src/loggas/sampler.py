@@ -24,14 +24,7 @@ import numpy as np
 
 from .fekete import minimize, quantile_start
 from .hamiltonian import Configuration, energy
-from .model import (
-    EquilibriumMeasure,
-    ModelConstants,
-    Potential,
-    model_constants,
-    semicircle_equilibrium,
-    zeta,
-)
+from .model import EquilibriumMeasure, Potential, equilibrium_for, zeta
 
 __all__ = ["SamplerConfig", "ChainState", "GasStatistics", "step", "run", "metropolis_accept"]
 
@@ -102,7 +95,8 @@ class GasStatistics:
     `samples` holds the thinned configurations, chain-major, one sorted
     row per retained step. `acceptance` and `chain_acceptance` count
     post-burn-in proposals only; `step_scales` holds each chain's proposal
-    scale as frozen at the end of burn-in.
+    scale as frozen at the end of burn-in. `f_n_trace` and `zeta_trace`
+    are empty unless V has a closed form (`equilibrium_for`).
     """
 
     count_fluctuations: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]]
@@ -279,14 +273,7 @@ def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
     energy traces; statistics are returned (not suppressed) even when the
     diagnostic fails, with `converged` set accordingly.
     """
-    mu: EquilibriumMeasure | None
-    consts: ModelConstants | None
-    if cfg.V.label == "quadratic":
-        mu = semicircle_equilibrium()
-        consts = model_constants(mu, cfg.V)
-    else:
-        mu = None
-        consts = None
+    mu, consts = equilibrium_for(cfg.V) or (None, None)
 
     windows = cfg.windows if cfg.windows else ((0.0, float(cfg.n)),)
     windows = tuple((float(a), float(b)) for a, b in windows)

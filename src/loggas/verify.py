@@ -200,7 +200,7 @@ def check_partition_oracles() -> CheckResult:
 
 def check_next_order_bounds() -> CheckResult:
     def body():
-        consts = model_mod.model_constants(model_mod.semicircle_equilibrium(), model_mod.quadratic())
+        _, consts = model_mod.equilibrium_for(model_mod.quadratic())
         worst = 0.0
         for n in (8, 16, 32, 64, 128, 256, 512):
             rep = partition_mod.next_order_report(n, 2.0, consts, partition_mod.mehta_log_z(n, 2.0))

@@ -107,6 +107,13 @@ def test_partition_quartic_uses_quartic_constants(capsys):
     assert F == pytest.approx(0.6497, abs=1e-3)
 
 
+def test_partition_polynomial_half_x_squared_is_exact(capsys):
+    assert dispatch(["partition", "--n", "2", "--beta", "2", "--coeffs", "0,0,0.5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["method"] == "exact-quadratic"
+    assert rep["log_z"] == mehta_log_z(2, 2.0)
+
+
 def test_partition_sweep_csv(capsys):
     assert dispatch(["partition-sweep", "--n", "4,8", "--beta", "1,2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

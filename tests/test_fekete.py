@@ -5,7 +5,7 @@ import pytest
 
 from scipy.special import roots_hermite
 
-from loggas import double_well, gradient, hermite_oracle, minimize, quadratic, quartic
+from loggas import double_well, gradient, hermite_oracle, minimize, polynomial, quadratic, quartic
 from loggas.fekete import _newton_roots
 
 V2 = quadratic()
@@ -31,6 +31,15 @@ def test_single_point_result_is_complete():
     assert res.breakdown is not None
     assert res.breakdown.f_n == pytest.approx(-0.75, abs=1e-12)
     assert res.energy_trace and res.energy_trace[-1] == res.breakdown.w_n
+
+
+def test_polynomial_half_x_squared_solves_as_quadratic():
+    # same V, so the same semicircle start, points and breakdown
+    a = minimize(16, polynomial([0.0, 0.0, 0.5]), multistart=1)
+    b = minimize(16, V2, multistart=1)
+    assert a.breakdown is not None
+    assert a.breakdown == b.breakdown
+    assert np.array_equal(a.config.points, b.config.points)
 
 
 def test_oracle_small_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,13 @@ def test_eta_too_large_rejected():
         w_quadrature(f, eta=0.5)
     with pytest.raises(ValueError):
         w_quadrature(f, eta=1e-3, y_cut=0.5)  # y_cut below the period
+
+
+def test_non_finite_density_raises():
+    f = make_field(lattice(1))
+    bad = dataclasses.replace(f, field=lambda x, y: (np.full(np.shape(x), np.inf), np.zeros(np.shape(x))))
+    with pytest.raises(FloatingPointError):
+        w_quadrature(bad)
 
 
 def test_energy_density_positive():

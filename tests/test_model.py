@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from loggas import (
     BUILTIN_POTENTIALS,
     blend,
     double_well,
+    equilibrium_for,
     log_potential,
     mean_field_energy,
     model_constants,
@@ -99,6 +101,39 @@ def test_model_constants_quadratic():
     # c = F - (1/2) int V dmu0; for V = x^2/2 the moment is 1
     moment = 0.5 * 1.0
     assert consts.c == pytest.approx(consts.mean_field_energy - 0.5 * moment, abs=1e-6)
+
+
+def test_equilibrium_for_reads_the_tag_not_the_label():
+    mu, consts = equilibrium_for(V2)
+    assert mu.closed_form == "semicircle"
+    assert (consts.c, consts.mean_field_energy, consts.alpha) == (0.5, 0.75, 0.5)
+    assert equilibrium_for(dataclasses.replace(V2, label="renamed")) is not None
+    assert equilibrium_for(dataclasses.replace(quartic(), label="quadratic")) is None
+    for V in (quartic(), double_well(), blend(V2, quartic(), 0.0), polynomial([0.0, 0.0, 1.0])):
+        assert equilibrium_for(V) is None, V.label
+
+
+def test_polynomial_half_x_squared_is_quadratic():
+    xs = np.linspace(-5.0, 5.0, 1001)
+    for coeffs in ([0.0, 0.0, 0.5], [0, 0, 0.5, 0, 0]):
+        p = polynomial(coeffs)
+        assert p.closed_form == "semicircle"
+        assert np.array_equal(p.eval(xs), V2.eval(xs))
+        assert np.array_equal(p.deriv(xs), V2.deriv(xs))
+    assert polynomial([0.0, 0.0, 0.5, 1e-3]).closed_form is None
+
+
+def test_semicircle_needs_a_tagged_potential():
+    for V in (quartic(), polynomial([0.0, 0.0, 1.0])):
+        with pytest.raises(ValueError):
+            model_constants(MU, V)
+
+
+def test_zeta_closed_form_shifts_with_c():
+    xs = np.linspace(-6.0, 6.0, 121)
+    assert np.array_equal(zeta(MU, V2, 0.7, xs), zeta(MU, V2, 0.5, xs) + (0.5 - 0.7))
+    generic = log_potential(MU, xs) + V2.eval(xs) / 2.0 - 0.7
+    assert np.allclose(zeta(MU, V2, 0.7, xs), generic, atol=1e-12)
 
 
 def test_alpha_uniform_measures():

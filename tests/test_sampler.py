@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from loggas import SamplerConfig, metropolis_accept, minimize, quadratic, run, step
+from loggas import SamplerConfig, metropolis_accept, minimize, polynomial, quadratic, run, step
 from loggas.hamiltonian import Configuration, energy
 from loggas.sampler import ChainState, _delta_energy
 
@@ -171,6 +171,15 @@ def test_acceptance_is_mean_of_chain_acceptance():
     assert out.step_scales.shape == (2,)
     assert out.acceptance == np.mean(out.chain_acceptance)
     assert np.all((out.chain_acceptance > 0.0) & (out.chain_acceptance < 1.0))
+
+
+def test_polynomial_half_x_squared_keeps_traces():
+    cfg = SamplerConfig(n=8, beta=2.0, V=V2, steps=1_000, burn_in=500, thinning=10, chains=2, seed=6)
+    a = run(cfg.replaced(V=polynomial([0.0, 0.0, 0.5])))
+    b = run(cfg)
+    assert a.f_n_trace.size == a.zeta_trace.size == len(a.samples) > 0
+    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.f_n_trace, b.f_n_trace)
 
 
 def test_config_validation():
