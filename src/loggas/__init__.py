@@ -39,7 +39,7 @@ from .hamiltonian import (
 )
 from .fekete import FeketeResult, hermite_oracle, minimize
 from .field import CylinderField, make_field, w_quadrature
-from .sampler import GasStatistics, SamplerConfig, metropolis_accept, run, step
+from .sampler import GasStatistics, SamplerConfig, metropolis_accept, run
 from .partition import (
     PartitionReport,
     mehta_log_z,
@@ -91,7 +91,6 @@ __all__ = [
     "run",
     "semicircle_equilibrium",
     "solve_equilibrium",
-    "step",
     "thermo_log_z",
     "w_quadrature",
     "zeta",

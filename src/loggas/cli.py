@@ -204,15 +204,8 @@ def _cmd_renorm(args) -> int:
 
 
 def _cmd_verify_field(args) -> int:
-    rng = np.random.default_rng(args.seed or 0)
     rows = []
-    cases = [("lattice-1", renorm_mod.lattice(1)), ("lattice-2", renorm_mod.lattice(2)),
-             ("lattice-8", renorm_mod.lattice(8))]
-    n_random = 5 if args.n is None else args.n
-    for k in range(n_random):
-        N = int(rng.integers(2, 17))
-        pts = verify_mod.random_periodic_points(rng, N)
-        cases.append((f"random-{k}", renorm_mod.PeriodicConfig(N, pts)))
+    cases = verify_mod.field_cases(np.random.default_rng(args.seed or 0), 5 if args.n is None else args.n)
     tol = args.tol or 0.01
     worst = 0.0
     eta, npu = 1e-3, 8

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,20 +85,24 @@ def _newton_roots(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"Hermite root iteration stalled at degree {n}")
 
 
-@lru_cache(maxsize=64)
-def _hermite_roots(n: int) -> tuple[float, ...]:
-    # climb the recurrence: roots of level k+1 interlace those of level k,
-    # with the outermost brackets closed by the classical bound sqrt(2k+2)
-    roots = np.array([0.0])
-    for k in range(1, n):
-        m = k + 1
+# unsymmetrised roots of every level climbed so far, level k at index k - 1
+_hermite_levels = [np.array([0.0])]
+
+
+def _hermite_roots(n: int) -> np.ndarray:
+    # climb the recurrence on from the highest cached level: roots of level
+    # k+1 interlace those of level k, with the outermost brackets closed by
+    # the classical bound sqrt(2k+2)
+    while len(_hermite_levels) < n:
+        m = len(_hermite_levels) + 1
         bound = math.sqrt(2.0 * m) + 1.0
+        roots = _hermite_levels[-1]
         lo = np.concatenate([[-bound], roots])
         hi = np.concatenate([roots, [bound]])
-        roots = _newton_roots(m, lo, hi)
+        _hermite_levels.append(_newton_roots(m, lo, hi))
     # enforce exact symmetry; the recurrence is even or odd in y
-    roots = 0.5 * (roots - roots[::-1])
-    return tuple(float(v) for v in roots)
+    roots = _hermite_levels[n - 1]
+    return 0.5 * (roots - roots[::-1])
 
 
 def hermite_oracle(n: int) -> Configuration:
@@ -107,10 +110,7 @@ def hermite_oracle(n: int) -> Configuration:
     the roots of the degree-n physicists' Hermite polynomial."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n == 1:
-        return Configuration(np.array([0.0]))
-    roots = np.array(_hermite_roots(n))
-    return Configuration(math.sqrt(2.0 / n) * roots)
+    return Configuration(math.sqrt(2.0 / n) * _hermite_roots(n))
 
 
 # ---------------------------------------------------------------------------

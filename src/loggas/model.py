@@ -34,7 +34,6 @@ __all__ = [
     "polynomial",
     "blend",
     "BUILTIN_POTENTIALS",
-    "adaptive_gauss_legendre",
     "semicircle_equilibrium",
     "equilibrium_for",
     "solve_equilibrium",
@@ -171,56 +170,6 @@ BUILTIN_POTENTIALS: dict[str, Callable[[], Potential]] = {
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre quadrature
-
-_GL_LO = np.polynomial.legendre.leggauss(10)
-_GL_HI = np.polynomial.legendre.leggauss(20)
-
-
-def _panel(f, a, b, rule):
-    t, w = rule
-    x = 0.5 * (b - a) * t + 0.5 * (b + a)
-    return 0.5 * (b - a) * float(np.dot(f(x), w))
-
-
-def adaptive_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-8,
-    split_at: Sequence[float] = (),
-    max_depth: int = 52,
-) -> float:
-    """Integrate a vectorized f over [a, b] by adaptive Gauss-Legendre.
-
-    The interval is pre-split at the points in `split_at` (integrable
-    singularities such as log|x - x0| belong there); each panel is then
-    bisected until a 10 vs 20 point comparison meets the tolerance.
-    Nodes never touch panel endpoints, so endpoint singularities are safe.
-    """
-    if b < a:
-        return -adaptive_gauss_legendre(f, b, a, tol, split_at, max_depth)
-    cuts = sorted({float(s) for s in split_at if a < s < b})
-    edges = [a] + cuts + [b]
-    total = 0.0
-    # per-panel budget keeps the global error near tol
-    budget = tol / max(1, len(edges) - 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        stack = [(lo, hi, 0)]
-        while stack:
-            x0, x1, depth = stack.pop()
-            coarse = _panel(f, x0, x1, _GL_LO)
-            fine = _panel(f, x0, x1, _GL_HI)
-            if abs(fine - coarse) <= budget * max(1e-3, (x1 - x0) / (hi - lo)) or depth >= max_depth:
-                total += fine
-            else:
-                mid = 0.5 * (x0 + x1)
-                stack.append((x0, mid, depth + 1))
-                stack.append((mid, x1, depth + 1))
-    return total
-
-
-# ---------------------------------------------------------------------------
 # equilibrium measures
 
 
@@ -353,7 +302,7 @@ def _semicircle_zeta(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def log_potential(mu: EquilibriumMeasure, x, tol: float = 1e-8):
+def log_potential(mu: EquilibriumMeasure, x):
     """U(x) = -int log|x - y| dmu(y); scalar in, scalar out.
 
     Closed-form semicircle uses the exact piecewise formula; grid measures
@@ -391,38 +340,45 @@ def zeta(mu: EquilibriumMeasure, V: Potential, c: float, x) -> np.ndarray:
     return float(z[0]) if scalar else z
 
 
-def mean_field_energy(mu: EquilibriumMeasure, V: Potential, tol: float = 1e-8) -> float:
+def _semicircle_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights of int f dmu0 = sum_k wts_k f(2 sin t_k) for the semicircle.
+
+    x = 2 sin t turns m0(x) dx into (2/pi) cos^2 t dt on [-pi/2, pi/2],
+    where a 256-node Gauss-Legendre rule in t is applied.
+    """
+    t, wt = np.polynomial.legendre.leggauss(256)
+    t = 0.5 * np.pi * t
+    return t, np.cos(t) ** 2 * wt
+
+
+def mean_field_energy(mu: EquilibriumMeasure, V: Potential) -> float:
     """F(mu) = -iint log|x-y| dmu dmu + int V dmu.
 
-    The semicircle path integrates the exact potential U against mu.
-    Grid measures use the quadratic form with blob-regularized diagonal.
+    The semicircle path integrates U + V against mu (-iint log = int U
+    dmu) with a fixed 256-node Gauss-Legendre rule in x = 2 sin t. Grid
+    measures use the quadratic form with blob-regularized diagonal.
     """
     if mu.closed_form == "semicircle":
-        lo, hi = mu.support[0]
-
-        def inner(xs):
-            return mu.density(xs) * (
-                _semicircle_log_potential(xs) + V.eval(xs)
-            )
-
-        # -iint log = int U dmu; total integrand U + V, then subtract the
-        # double counting nothing: F = int U dmu + int V dmu is exact here
-        return adaptive_gauss_legendre(inner, lo, hi, tol=tol)
-    K = _log_kernel(mu.nodes)
-    w = mu.weights
-    return float(w @ K @ w + np.dot(w, V.eval(mu.nodes)))
+        t, wts = _semicircle_rule()
+        x = 2.0 * np.sin(t)
+        return float(np.dot(wts, _semicircle_log_potential(x) + V.eval(x)))
+    return _grid_energy(_log_kernel(mu.nodes), mu.weights, V.eval(mu.nodes))
 
 
-def alpha(mu: EquilibriumMeasure, tol: float = 1e-8) -> float:
-    """The entropy-like constant alpha = int m0 log(2 pi m0) dx."""
+def _grid_energy(K: np.ndarray, w: np.ndarray, Vn: np.ndarray) -> float:
+    """F of the grid measure of weights w, given its log kernel K and V at its nodes."""
+    return float(w @ K @ w + np.dot(w, Vn))
+
+
+def alpha(mu: EquilibriumMeasure) -> float:
+    """The entropy-like constant alpha = int m0 log(2 pi m0) dx.
+
+    For the semicircle 2 pi m0(2 sin t) = 2 cos t, integrated with the
+    fixed Gauss-Legendre rule of `mean_field_energy`.
+    """
     if mu.closed_form == "semicircle":
-        # substitute x = 2 sin t: m0 = cos t / pi, dx = 2 cos t dt,
-        # integrand becomes (2 cos^2 t / pi) log(2 cos t), smooth
-        def g(t):
-            ct = np.cos(t)
-            return (2.0 * ct * ct / np.pi) * np.log(2.0 * ct)
-
-        return adaptive_gauss_legendre(g, -np.pi / 2, np.pi / 2, tol=tol)
+        t, wts = _semicircle_rule()
+        return float(np.dot(wts, np.log(2.0 * np.cos(t))))
     h = _cell_widths(mu.nodes)
     w = mu.weights
     pos = w > 0
@@ -453,14 +409,19 @@ def model_constants(mu: EquilibriumMeasure, V: Potential) -> ModelConstants:
         if V.closed_form != mu.closed_form:
             raise ValueError(f"the {mu.closed_form} measure is not the equilibrium of V = {V.label}")
         return equilibrium_for(V)[1]
-    w = mu.weights
-    sup = np.where(w > 1e-10)[0]
-    cut = max(1, int(0.1 * len(sup)))
-    interior = sup[cut : len(sup) - cut] if len(sup) > 2 * cut else sup
     K = _log_kernel(mu.nodes)
-    r = K @ w + V.eval(mu.nodes) / 2.0
-    c = float(np.median(r[interior]))
-    return ModelConstants(c, mean_field_energy(mu, V), alpha(mu))
+    Vn = V.eval(mu.nodes)
+    c = _robin_constant(K @ mu.weights + Vn / 2.0, mu.weights)
+    return ModelConstants(c, _grid_energy(K, mu.weights, Vn), alpha(mu))
+
+
+def _robin_constant(r: np.ndarray, w: np.ndarray) -> float:
+    """c from r = K w + V/2 of the grid measure of weights w: the median of r
+    over the interior 80 percent of its support w > 1e-10."""
+    idx = np.where(w > 1e-10)[0]
+    cut = max(1, int(0.1 * len(idx)))
+    interior = idx[cut : len(idx) - cut] if len(idx) > 2 * cut else idx
+    return float(np.median(r[interior]))
 
 
 def equilibrium_for(V: Potential) -> tuple[EquilibriumMeasure, ModelConstants] | None:
@@ -552,11 +513,8 @@ def solve_equilibrium(
         if sup.sum() < 4:
             return np.inf, 0.0, sup
         r = K @ wv + Vn / 2.0
-        idx = np.where(sup)[0]
-        cut = max(1, int(0.1 * len(idx)))
-        interior = idx[cut : len(idx) - cut] if len(idx) > 2 * cut else idx
-        c = float(np.median(r[interior]))
-        return float(np.max(np.abs(r[idx] - c))), c, sup
+        c = _robin_constant(r, wv)
+        return float(np.max(np.abs(r[sup] - c))), c, sup
 
     res = np.inf
     for it in range(max_iter):

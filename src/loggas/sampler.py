@@ -7,8 +7,8 @@ serve every chain at once. Each chain draws its proposals from its own RNG
 stream spawned from the master seed (numpy SeedSequence.spawn), in chunks
 whose sizes do not depend on the chain count, so runs are bit-reproducible
 and a chain's output is the same however many chains run beside it.
-Chains merge into statistics carrying a between/within-chain R-hat
-diagnostic. Each chain's proposal scale adapts toward 30-50 percent
+Every statistic, R-hat diagnostic included, is then computed from the
+array of retained samples and their energies in one pass (`_statistics`). Each chain's proposal scale adapts toward 30-50 percent
 acceptance during burn-in only; it is frozen afterward so the invariant
 law is exact.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .fekete import minimize, quantile_start
 from .hamiltonian import Configuration, energy
 from .model import EquilibriumMeasure, Potential, equilibrium_for, zeta
 
-__all__ = ["SamplerConfig", "ChainState", "GasStatistics", "step", "run", "metropolis_accept"]
+__all__ = ["SamplerConfig", "GasStatistics", "run", "metropolis_accept"]
 
 AUDIT_INTERVAL = 10_000
 AUDIT_RTOL = 1e-8
@@ -39,8 +38,8 @@ class SamplerConfig:
     """Run parameters for the Metropolis sampler.
 
     `steps` counts post-burn-in steps per chain; `windows` lists the
-    (x0, R) count-fluctuation windows, each covering the closed interval
-    of radius R/n around x0.
+    (x0, R) count windows, each covering the closed interval of radius
+    R/n around x0 (none gives the one window (0, n)).
     """
 
     n: int
@@ -54,7 +53,6 @@ class SamplerConfig:
     seed: int = 0
     init: str = "fekete"
     windows: tuple[tuple[float, float], ...] = ()
-    observable: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -77,41 +75,28 @@ class SamplerConfig:
 
 
 @dataclass
-class ChainState:
-    """One chain: positions, cached energy, acceptance counters, RNG."""
-
-    config: Configuration
-    energy: float
-    accepted: int
-    proposed: int
-    rng: np.random.Generator
-    step_scale: float
-
-
-@dataclass
 class GasStatistics:
-    """Merged observables of a sampler run.
+    """Statistics of a sampler run, all computed from its samples.
 
     `samples` holds the thinned configurations, chain-major, one sorted
-    row per retained step. `acceptance` and `chain_acceptance` count
-    post-burn-in proposals only; `step_scales` holds each chain's proposal
-    scale as frozen at the end of burn-in. `f_n_trace` and `zeta_trace`
-    are empty unless V has a closed form (`equilibrium_for`).
+    row per retained step. `count_traces[(x0, R)]` is the count of each
+    row in the window of radius R/n around x0; `spacing_samples` are the
+    bulk nearest-neighbour gaps scaled by n times the equilibrium density.
+    `f_n_trace` and `zeta_trace` (sum of zeta over each row) are empty
+    unless V has a closed form (`equilibrium_for`). `acceptance` and
+    `chain_acceptance` count post-burn-in proposals only; `step_scales`
+    holds each chain's proposal scale as frozen at the end of burn-in.
     """
 
-    count_fluctuations: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]]
     count_traces: dict[tuple[float, float], np.ndarray]
-    spacing_hist: tuple[np.ndarray, np.ndarray]
     spacing_samples: np.ndarray
     f_n_trace: np.ndarray
     zeta_trace: np.ndarray
-    potential_diff_trace: np.ndarray
     mean_energy: float
     mean_energy_se: float
     r_hat: float
     converged: bool
     acceptance: float
-    chain_count_means: dict[tuple[float, float], np.ndarray]
     samples: np.ndarray
     chain_acceptance: np.ndarray
     step_scales: np.ndarray
@@ -166,27 +151,6 @@ def _advance(pts: np.ndarray, w: np.ndarray, sites: np.ndarray, dx: np.ndarray, 
     return acc
 
 
-def step(state: ChainState, cfg: SamplerConfig) -> ChainState:
-    """One Metropolis step, returning the new chain state.
-
-    Runs the kernel `run` uses on a batch of one chain.
-    """
-    rng = state.rng
-    pts = np.array(state.config.points, dtype=float)[None, :]
-    w = np.array([state.energy])
-    sites = rng.integers(0, cfg.n, 1)
-    dx = state.step_scale * rng.normal(0.0, 1.0, 1)
-    accepted = bool(_advance(pts, w, sites, dx, rng.random(1), cfg.V, cfg.beta)[0])
-    return ChainState(
-        config=Configuration(pts[0]),
-        energy=float(w[0]),
-        accepted=state.accepted + int(accepted),
-        proposed=state.proposed + 1,
-        rng=rng,
-        step_scale=state.step_scale,
-    )
-
-
 def _initial_config(cfg: SamplerConfig, chain_idx: int, rng: np.random.Generator,
                     mu: EquilibriumMeasure | None) -> np.ndarray:
     if cfg.init == "fekete" and chain_idx == 0:
@@ -199,7 +163,7 @@ def _initial_config(cfg: SamplerConfig, chain_idx: int, rng: np.random.Generator
     return pts
 
 
-def _run_chains(cfg: SamplerConfig, mu: EquilibriumMeasure | None):
+def _run_chains(cfg: SamplerConfig):
     """Step every chain of `cfg` in lockstep.
 
     Returns the thinned samples (chains, kept, n), their energies
@@ -207,6 +171,7 @@ def _run_chains(cfg: SamplerConfig, mu: EquilibriumMeasure | None):
     chain's final step scale.
     """
     n, V = cfg.n, cfg.V
+    mu = (equilibrium_for(V) or (None, None))[0]
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
     pts = np.array([_initial_config(cfg, c, rng, mu) for c, rng in enumerate(rngs)])
     w = np.array([energy(Configuration(row), V) for row in pts])
@@ -265,47 +230,26 @@ def _gelman_rubin(X: np.ndarray) -> float:
     return math.sqrt(var_plus / within)
 
 
-def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
-    """Run all chains and merge observables.
-
-    The chains step in lockstep in one process; `threads` is accepted for
-    old callers and ignored. The R-hat diagnostic is computed on the
-    energy traces; statistics are returned (not suppressed) even when the
-    diagnostic fails, with `converged` set accordingly.
-    """
+def _statistics(cfg: SamplerConfig, chain_samples: np.ndarray, chain_energies: np.ndarray,
+                chain_acceptance: np.ndarray, step_scales: np.ndarray) -> GasStatistics:
+    """Every field of `GasStatistics` from the (chains, kept, n) samples and
+    their (chains, kept) energies, as array expressions."""
+    n, chains = cfg.n, len(chain_samples)
     mu, consts = equilibrium_for(cfg.V) or (None, None)
-
-    windows = cfg.windows if cfg.windows else ((0.0, float(cfg.n)),)
-    windows = tuple((float(a), float(b)) for a, b in windows)
-
-    chain_samples, chain_energies, accepted, scales = _run_chains(cfg, mu)
-    n = cfg.n
     flat = chain_samples.reshape(-1, n)
-    r_hat = _gelman_rubin(chain_energies)
     energies = chain_energies.ravel()
-    chain_means = chain_energies.mean(axis=1)
-    se = float(np.std(chain_means, ddof=1) / math.sqrt(cfg.chains)) if cfg.chains > 1 else float(
-        np.std(energies, ddof=1) / math.sqrt(len(energies))
-    )
+    r_hat = _gelman_rubin(chain_energies)
+    if chains > 1:
+        se = float(np.std(chain_energies.mean(axis=1), ddof=1) / math.sqrt(chains))
+    else:
+        se = float(np.std(energies, ddof=1) / math.sqrt(len(energies)))
 
-    count_traces: dict[tuple[float, float], np.ndarray] = {}
-    chain_count_means: dict[tuple[float, float], np.ndarray] = {}
-    fluct_hists = {}
-    for (x0, R) in windows:
-        r = R / n
-        counts = ((chain_samples >= x0 - r) & (chain_samples <= x0 + r)).sum(axis=2).astype(float)
-        trace = counts.ravel()
-        count_traces[(x0, R)] = trace
-        chain_count_means[(x0, R)] = counts.mean(axis=1)
-        if mu is not None:
-            base = n * mu.interval_mass(x0 - r, x0 + r)
-        else:
-            base = float(np.mean(trace))
-        d_vals = trace - base
-        lo = math.floor(d_vals.min()) - 0.5
-        hi = math.ceil(d_vals.max()) + 0.5
-        hist = np.histogram(d_vals, bins=max(1, int(hi - lo)), range=(lo, hi))
-        fluct_hists[(x0, R)] = hist
+    windows = cfg.windows or ((0.0, float(n)),)
+    count_traces = {}
+    for x0, R in windows:
+        x0, r = float(x0), float(R) / n
+        inside = (flat >= x0 - r) & (flat <= x0 + r)
+        count_traces[(x0, float(R))] = inside.sum(axis=1).astype(float)
 
     # normalized nearest-neighbor spacings from the bulk (central half)
     lo_i, hi_i = n // 4, max(n // 4 + 1, (3 * n) // 4)
@@ -313,44 +257,36 @@ def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
     left = flat[:, lo_i:hi_i]
     dens = mu.density(left) if mu is not None else np.full_like(left, 1.0)
     spacing_samples = (n * dens * gaps).ravel()
-    if spacing_samples.size:
-        counts, edges = np.histogram(spacing_samples, bins=40, range=(0.0, 4.0))
-        total_counts = counts.sum()
-        spacing_hist = (counts / max(1, total_counts), edges)
-    else:
-        spacing_hist = (np.array([]), np.array([]))
 
     if consts is not None:
-        F = consts.mean_field_energy
-        f_n_trace = (energies - n * n * F + n * math.log(n)) / n
-        zeta_trace = np.array(
-            [float(np.sum(zeta(mu, cfg.V, consts.c, row))) for row in flat]
-        )
+        f_n_trace = (energies - n * n * consts.mean_field_energy + n * math.log(n)) / n
+        zeta_trace = zeta(mu, cfg.V, consts.c, flat).sum(axis=1)
     else:
-        f_n_trace = np.array([])
-        zeta_trace = np.array([])
+        f_n_trace = zeta_trace = np.array([])
 
-    if cfg.observable is not None:
-        pot_trace = np.array([float(cfg.observable(row)) for row in flat])
-    else:
-        pot_trace = np.array([])
-
-    chain_acceptance = accepted / cfg.steps
     return GasStatistics(
-        count_fluctuations=fluct_hists,
         count_traces=count_traces,
-        spacing_hist=spacing_hist,
         spacing_samples=spacing_samples,
         f_n_trace=f_n_trace,
         zeta_trace=zeta_trace,
-        potential_diff_trace=pot_trace,
         mean_energy=float(np.mean(energies)),
         mean_energy_se=se,
         r_hat=r_hat,
         converged=bool(r_hat <= 1.1),
         acceptance=float(np.mean(chain_acceptance)),
-        chain_count_means=chain_count_means,
         samples=flat,
         chain_acceptance=chain_acceptance,
-        step_scales=scales,
+        step_scales=step_scales,
     )
+
+
+def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
+    """Run all chains and compute their statistics from the samples.
+
+    The chains step in lockstep in one process; `threads` is accepted for
+    old callers and ignored. The R-hat diagnostic is computed on the
+    energy traces; statistics are returned (not suppressed) even when the
+    diagnostic fails, with `converged` set accordingly.
+    """
+    chain_samples, chain_energies, accepted, scales = _run_chains(cfg)
+    return _statistics(cfg, chain_samples, chain_energies, accepted / cfg.steps, scales)

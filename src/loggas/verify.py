@@ -48,6 +48,19 @@ def random_periodic_points(rng, N: int, min_gap: float = 0.04) -> np.ndarray:
     raise RuntimeError("could not draw a well-separated configuration")
 
 
+def field_cases(rng, k: int) -> list[tuple[str, renorm_mod.PeriodicConfig]]:
+    """Named configurations for the field quadrature: the lattices N = 1,
+    2 and 8, then k random ones of period 2..16, each kept only when
+    |w| >= 0.5, so that the relative error against w is meaningful."""
+    cases = [(f"lattice-{N}", renorm_mod.lattice(N)) for N in (1, 2, 8)]
+    while len(cases) < 3 + k:
+        N = int(rng.integers(2, 17))
+        cfg = renorm_mod.PeriodicConfig(N, random_periodic_points(rng, N))
+        if abs(renorm_mod.periodic_w(cfg)) >= 0.5:
+            cases.append((f"random-{len(cases) - 3}", cfg))
+    return cases
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -105,18 +118,9 @@ def check_lattice_optimality() -> CheckResult:
 
 def check_field_equivalence(fast: bool = False) -> CheckResult:
     def body():
-        rng = np.random.default_rng(1137)
-        cases = [renorm_mod.lattice(1), renorm_mod.lattice(2), renorm_mod.lattice(8)]
-        target = 5 if fast else 20
-        while len(cases) < 3 + target:
-            N = int(rng.integers(2, 17))
-            pts = random_periodic_points(rng, N)
-            cfg = renorm_mod.PeriodicConfig(N, pts)
-            # keep |w| away from its zero crossing so the relative error is meaningful
-            if abs(renorm_mod.periodic_w(cfg)) >= 0.5:
-                cases.append(cfg)
+        cases = field_cases(np.random.default_rng(1137), 5 if fast else 20)
         worst = 0.0
-        for cfg in cases:
+        for _, cfg in cases:
             w_exact = renorm_mod.periodic_w(cfg)
             w_quad = field_mod.w_quadrature(field_mod.make_field(cfg))
             worst = max(worst, abs(w_quad - w_exact) / abs(w_exact))
@@ -229,7 +233,7 @@ def check_gibbs_macroscopics(fast: bool = False) -> CheckResult:
         stats = sampler_mod.run(cfg)
         mu = model_mod.semicircle_equilibrium()
         expected = 32.0 * mu.interval_mass(-1.0, 1.0)
-        means = stats.chain_count_means[(0.0, 32.0)]
+        means = stats.count_traces[(0.0, 32.0)].reshape(cfg.chains, -1).mean(axis=1)
         mean = float(np.mean(means))
         se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
         ok = abs(mean - expected) <= 3.0 * se and stats.r_hat <= 1.1

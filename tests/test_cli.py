@@ -132,6 +132,16 @@ def test_verify_field_csv(tmp_path):
         assert float(ln.split(",")[-1]) <= 0.01
 
 
+def test_verify_field_skips_configs_near_w_zero(tmp_path):
+    # seed 64 first draws a configuration with w = 0.0006, where a 4e-5
+    # absolute error reads as 6.8 percent
+    out = tmp_path / "vf"
+    assert dispatch(["verify-field", "--seed", "64", "--n", "1", "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in (out / "verify_field.csv").read_text().strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["lattice-1", "lattice-2", "lattice-8", "random-0"]
+    assert abs(float(rows[-1][2])) >= 0.5
+
+
 def test_outputs_have_no_float_repr_leak(tmp_path):
     out = tmp_path / "clean"
     dispatch(["fekete", "--n", "4", "--seed", "0", "--out", str(out)])

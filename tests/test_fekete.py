@@ -6,6 +6,7 @@ import pytest
 from scipy.special import roots_hermite
 
 from loggas import double_well, gradient, hermite_oracle, minimize, polynomial, quadratic, quartic
+from loggas import fekete as fekete_mod
 from loggas.fekete import _newton_roots
 
 V2 = quadratic()
@@ -68,6 +69,16 @@ def test_oracle_interlacing():
         a = hermite_oracle(n).points * math.sqrt(n / 2.0)
         b = hermite_oracle(n + 1).points * math.sqrt((n + 1) / 2.0)
         assert np.all(b[:-1] < a) and np.all(a < b[1:])
+
+
+def test_oracle_does_not_depend_on_call_order(monkeypatch):
+    # the climb continues from the highest cached level, so a level reached
+    # in one climb or over several must come out the same
+    monkeypatch.setattr(fekete_mod, "_hermite_levels", [np.array([0.0])])
+    direct = {n: hermite_oracle(n).points for n in (100, 64, 17, 3, 2)}
+    monkeypatch.setattr(fekete_mod, "_hermite_levels", [np.array([0.0])])
+    for n in (2, 3, 17, 64, 100):
+        assert np.array_equal(hermite_oracle(n).points, direct[n])
 
 
 def test_minimize_matches_oracle_16():

@@ -148,6 +148,7 @@ def test_alpha_uniform_measures():
 
 def test_mean_field_energy_semicircle():
     assert mean_field_energy(MU, V2) == pytest.approx(0.75, abs=1e-8)
+    assert alpha(semicircle_equilibrium()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_quantiles_balanced():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from loggas import SamplerConfig, metropolis_accept, minimize, polynomial, quadratic, run, step
+from loggas import SamplerConfig, metropolis_accept, minimize, polynomial, quadratic, run
 from loggas.hamiltonian import Configuration, energy
-from loggas.sampler import ChainState, _delta_energy
+from loggas.sampler import _delta_energy
 
 V2 = quadratic()
 
@@ -42,23 +42,15 @@ def test_proposal_onto_existing_point_rejected():
     assert not metropolis_accept(delta, 2.0, 0.0)
 
 
-def test_step_preserves_invariants():
-    cfg = SamplerConfig(n=6, beta=2.0, V=V2, steps=10, burn_in=1, thinning=1, chains=1)
-    pts = np.linspace(-1.5, 1.5, 6)
-    state = ChainState(
-        config=Configuration(pts),
-        energy=energy(Configuration(pts), V2),
-        accepted=0,
-        proposed=0,
-        rng=np.random.default_rng(0),
-        step_scale=cfg.initial_step_scale,
-    )
-    for _ in range(300):
-        state = step(state, cfg)
-        assert np.all(np.diff(state.config.points) > 0)
-    assert state.proposed == 300
-    assert 0 < state.accepted <= 300
-    assert state.energy == pytest.approx(energy(state.config, V2), rel=1e-10)
+def test_run_keeps_rows_sorted_and_energy_cache_exact():
+    # 2,000 steps stay below the first energy audit, so every cached energy
+    # is the sum of accepted deltas
+    cfg = SamplerConfig(n=6, beta=2.0, V=V2, steps=2_000, burn_in=1, thinning=1, chains=1)
+    out = run(cfg)
+    assert np.all(np.diff(out.samples, axis=1) > 0)
+    assert 0.0 < out.acceptance <= 1.0
+    exact = np.mean([energy(Configuration(row), V2) for row in out.samples])
+    assert out.mean_energy == pytest.approx(exact, rel=1e-10)
 
 
 def test_detailed_balance_three_state_toy():
@@ -97,9 +89,8 @@ def test_single_particle_matches_gaussian():
         chains=2,
         seed=42,
         init="quantile",
-        observable=lambda row: float(row[0]),
     )
-    xs = run(cfg).potential_diff_trace
+    xs = run(cfg).samples[:, 0]
     assert len(xs) == 4000
     _, p = sps.kstest(xs, "norm")
     assert p > 0.01
@@ -115,7 +106,6 @@ def _short_run(beta, seed):
         thinning=20,
         chains=2,
         seed=seed,
-        observable=lambda row: float(np.mean(np.abs(row) > 2.0)),
     )
     return run(cfg)
 
@@ -129,16 +119,13 @@ def test_thermal_excess_above_ground_state():
     # colder chain sits closer to the minimum
     assert np.mean(cold.f_n_trace) < np.mean(hot.f_n_trace)
     # and strays outside the equilibrium support less often
-    assert np.mean(cold.potential_diff_trace) < np.mean(hot.potential_diff_trace)
+    assert np.mean(np.abs(cold.samples) > 2.0) < np.mean(np.abs(hot.samples) > 2.0)
     assert np.all(np.isfinite(hot.f_n_trace))
     assert np.all(hot.zeta_trace >= -1e-12)
 
 
 def test_statistics_shapes_and_mass():
     out = _short_run(2.0, 3)
-    weights, edges = out.spacing_hist
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert len(edges) == len(weights) + 1
     assert out.samples.shape == (2 * 1000, 16)
     assert np.all(np.diff(out.samples, axis=1) > 0)
     assert out.converged == (out.r_hat <= 1.1)
