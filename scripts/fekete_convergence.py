@@ -28,8 +28,9 @@ def main() -> int:
         t0 = time.perf_counter()
         res = minimize(n, V, seed=args.seed, multistart=1)
         dt = time.perf_counter() - t0
-        oracle_gap = float(np.max(np.abs(res.config.points - hermite_oracle(n).points)))
-        grad_at_oracle = float(np.max(np.abs(gradient(hermite_oracle(n), V))))
+        oracle = hermite_oracle(n)
+        oracle_gap = float(np.max(np.abs(res.config.points - oracle.points)))
+        grad_at_oracle = float(np.max(np.abs(gradient(oracle, V))))
         f_n = res.breakdown.f_n
         rows.append([n, repr(f_n), repr(abs(abs(f_n) - 0.5)), repr(oracle_gap), repr(grad_at_oracle), f"{dt:.2f}"])
         print(

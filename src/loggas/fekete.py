@@ -3,13 +3,13 @@
 For the quadratic model the minimizer is known in closed form up to the
 root-finding: the scaled roots sqrt(2/n) y_k of the degree-n physicists'
 Hermite polynomial satisfy sum_{j != i} 1/(y_i - y_j) = y_i, which makes
-the w_n gradient vanish identically. The oracle computes those roots by
-Newton iteration on the orthonormal three-term recurrence
-
-    h_0 = pi^{-1/4},  h_{k+1}(y) = y sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1},
-
-with initial brackets supplied level by level through root interlacing,
-so it shares no code path with the optimizer it checks.
+the w_n gradient vanish identically. The oracle computes those roots as
+the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
+orthonormal Hermite recurrence (Golub and Welsch, Math. Comp. 23 (1969)
+221), zero diagonal and off-diagonal sqrt(k/2), k = 1..n-1, with LAPACK's
+tridiagonal eigensolver. It shares no code path with the optimizer it
+checks, which solves with Cholesky and LU factorisations of the w_n
+Hessian.
 """
 
 from __future__ import annotations
@@ -42,67 +42,13 @@ class FeketeResult:
 # Hermite-root oracle
 
 
-def _orthonormal_hermite(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """h_n and h_n' = sqrt(2 n) h_{n-1} by the stable recurrence, both times
-    a power of two per point: Newton reads only sign(h_n) and h_n / h_n',
-    and rescaling every 32 levels keeps degrees 700 and up from overflowing
-    near the edge roots without changing any rounding."""
-    h_prev = np.full_like(y, math.pi ** -0.25)
-    if n == 0:
-        return h_prev, np.zeros_like(y)
-    h_cur = y * math.sqrt(2.0) * h_prev
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, y * math.sqrt(2.0 / (k + 1)) * h_cur - math.sqrt(
-            k / (k + 1.0)
-        ) * h_prev
-        if k % 32 == 0:
-            _, e = np.frexp(np.maximum(np.abs(h_prev), np.abs(h_cur)))
-            h_prev, h_cur = np.ldexp(h_prev, -e), np.ldexp(h_cur, -e)
-    return h_cur, math.sqrt(2.0 * n) * h_prev
-
-
-def _newton_roots(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection-safeguarded Newton for all n roots at once.
-
-    lo/hi bracket each root; the recurrence changes sign across it.
-    """
-    x = 0.5 * (lo + hi)
-    flo, _ = _orthonormal_hermite(lo, n)
-    for _ in range(200):
-        f, fp = _orthonormal_hermite(x, n)
-        # keep the bracket current
-        same = np.sign(f) == np.sign(flo)
-        lo = np.where(same, x, lo)
-        hi = np.where(same, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / fp
-        x_new = x - step
-        bad = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
-        x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-        if np.max(np.abs(x_new - x)) < 1e-15 * max(1.0, float(np.max(np.abs(x)))):
-            return x_new
-        x = x_new
-    raise ConvergenceError(f"Hermite root iteration stalled at degree {n}")
-
-
-# unsymmetrised roots of every level climbed so far, level k at index k - 1
-_hermite_levels = [np.array([0.0])]
-
-
 def _hermite_roots(n: int) -> np.ndarray:
-    # climb the recurrence on from the highest cached level: roots of level
-    # k+1 interlace those of level k, with the outermost brackets closed by
-    # the classical bound sqrt(2k+2)
-    while len(_hermite_levels) < n:
-        m = len(_hermite_levels) + 1
-        bound = math.sqrt(2.0 * m) + 1.0
-        roots = _hermite_levels[-1]
-        lo = np.concatenate([[-bound], roots])
-        hi = np.concatenate([roots, [bound]])
-        _hermite_levels.append(_newton_roots(m, lo, hi))
-    # enforce exact symmetry; the recurrence is even or odd in y
-    roots = _hermite_levels[n - 1]
-    return 0.5 * (roots - roots[::-1])
+    # imported here so that `import loggas` does not load scipy.linalg
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    y = eigvalsh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1, n) / 2.0))
+    # enforce exact symmetry, so the middle root of odd n is exactly 0
+    return 0.5 * (y - y[::-1])
 
 
 def hermite_oracle(n: int) -> Configuration:

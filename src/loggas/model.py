@@ -186,7 +186,6 @@ class EquilibriumMeasure:
     nodes: np.ndarray | None
     weights: np.ndarray | None
     closed_form: str | None
-    total_mass: float
 
     def density(self, x) -> np.ndarray:
         """Density m0(x); for grid measures, weight over cell width."""
@@ -262,7 +261,6 @@ def semicircle_equilibrium() -> EquilibriumMeasure:
         nodes=None,
         weights=None,
         closed_form="semicircle",
-        total_mass=1.0,
     )
 
 
@@ -553,7 +551,6 @@ def solve_equilibrium(
         nodes=nodes,
         weights=w,
         closed_form=None,
-        total_mass=float(w.sum()),
     )
 
 
@@ -588,7 +585,6 @@ def measure_from_json(text: str) -> tuple[EquilibriumMeasure, ModelConstants | N
         nodes=None if obj["nodes"] is None else np.asarray(obj["nodes"], dtype=float),
         weights=None if obj["weights"] is None else np.asarray(obj["weights"], dtype=float),
         closed_form=obj["closed_form"],
-        total_mass=1.0 if obj["weights"] is None else float(np.sum(obj["weights"])),
     )
     consts = None
     if obj.get("constants"):

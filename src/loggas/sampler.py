@@ -46,7 +46,6 @@ class SamplerConfig:
     beta: float
     V: Potential
     steps: int = 100_000
-    step_scale: float | None = None
     burn_in: int = 10_000
     thinning: int = 50
     chains: int = 4
@@ -69,8 +68,6 @@ class SamplerConfig:
 
     @property
     def initial_step_scale(self) -> float:
-        if self.step_scale is not None:
-            return self.step_scale
         return 1.0 / (self.n * math.sqrt(self.beta))
 
 

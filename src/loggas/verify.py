@@ -83,11 +83,7 @@ def check_lattice_optimality() -> CheckResult:
         min_excess = math.inf
         for _ in range(1000):
             N = int(rng.integers(2, 65))
-            for _ in range(100):
-                pts = np.sort(rng.uniform(0.0, N, N))
-                gaps = np.diff(pts, append=pts[0] + N)
-                if gaps.min() > 1e-9 * N:
-                    break
+            pts = random_periodic_points(rng, N, 1e-9 * N)
             w = renorm_mod.periodic_w(renorm_mod.PeriodicConfig(N, pts))
             min_excess = min(min_excess, w - LATTICE_W)
         if min_excess < -1e-12:
@@ -135,7 +131,7 @@ def check_fekete_oracle() -> CheckResult:
         V = model_mod.quadratic()
         worst_gap = 0.0
         worst_grad = 0.0
-        for n in range(2, 65):
+        for n in [*range(2, 65), 128, 256, 512, 1024]:
             oracle = fekete_mod.hermite_oracle(n)
             g = gradient(oracle, V)
             worst_grad = max(worst_grad, np.abs(g).max() / n)
@@ -144,7 +140,7 @@ def check_fekete_oracle() -> CheckResult:
         ok = worst_gap <= 1e-8 and worst_grad <= 1e-9
         return ok, (
             f"sup |minimizer - scaled Hermite roots| = {worst_gap:.2e} (tol 1e-8), "
-            f"grad/n at oracle = {worst_grad:.2e} (tol 1e-9), n=2..64"
+            f"grad/n at oracle = {worst_grad:.2e} (tol 1e-9), n=2..64,128,256,512,1024"
         )
 
     passed, detail, dt = _timed(body)

@@ -34,7 +34,7 @@ def uniform_measure(lo, hi, n=4000):
     h = (hi - lo) / n
     nodes = lo + h * (np.arange(n) + 0.5)
     w = np.full(n, 1.0 / n)
-    return EquilibriumMeasure(((lo, hi),), nodes, w, None, 1.0)
+    return EquilibriumMeasure(((lo, hi),), nodes, w, None)
 
 
 def test_semicircle_density_and_mass():

@@ -1,4 +1,5 @@
-"""Smoke tests: each experiment script runs on tiny arguments and writes its CSV."""
+"""Smoke tests: each experiment script runs on tiny arguments and writes its
+CSV, and the benchmark's selftest passes."""
 
 import csv
 import os
@@ -31,3 +32,11 @@ def test_script_writes_csv(tmp_path, script, args, header):
         rows = list(csv.reader(fh))
     assert rows[0] == header
     assert len(rows) > 1
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark's own checks, among them hermite_oracle against scipy's
+    # Hermite roots to 1e-12 for n <= 64
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
