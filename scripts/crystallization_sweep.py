@@ -2,7 +2,8 @@
 """Sweep beta and watch the gas crystallize.
 
 For each beta, several independently seeded runs record the variance of
-normalized nearest-neighbor spacings in the bulk. Rising beta should
+normalized nearest-neighbor spacings in the bulk; every (beta, seed) run
+steps in one lockstep array (`run_many`). Rising beta should
 drive the variance toward zero as the configuration locks onto the
 local lattice. Writes a CSV (beta, seed, spacing_var, acceptance, r_hat)
 plus a per-beta mean summary to stdout.
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from loggas import SamplerConfig, quadratic, run
+from loggas import SamplerConfig, quadratic, run_many
 
 
 def main() -> int:
@@ -27,24 +28,25 @@ def main() -> int:
     args = ap.parse_args()
 
     betas = [float(b) for b in args.betas.split(",")]
+    V = quadratic()
+    cfgs = [
+        SamplerConfig(
+            n=args.n,
+            beta=beta,
+            V=V,
+            steps=args.steps,
+            burn_in=max(2_000, args.steps // 6),
+            thinning=25,
+            chains=2,
+            seed=101 * (s + 1),
+        )
+        for beta in betas
+        for s in range(args.seeds)
+    ]
     rows = []
-    for beta in betas:
-        for s in range(args.seeds):
-            cfg = SamplerConfig(
-                n=args.n,
-                beta=beta,
-                V=quadratic(),
-                steps=args.steps,
-                burn_in=max(2_000, args.steps // 6),
-                thinning=25,
-                chains=2,
-                seed=101 * (s + 1),
-            )
-            st = run(cfg)
-            rows.append(
-                (beta, 101 * (s + 1), float(np.var(st.spacing_samples)), st.acceptance, st.r_hat)
-            )
-            print(f"beta={beta:<6g} seed={rows[-1][1]:<4d} spacing_var={rows[-1][2]:.4f}", file=sys.stderr)
+    for cfg, st in zip(cfgs, run_many(cfgs)):
+        rows.append((cfg.beta, cfg.seed, float(np.var(st.spacing_samples)), st.acceptance, st.r_hat))
+        print(f"beta={cfg.beta:<6g} seed={cfg.seed:<4d} spacing_var={rows[-1][2]:.4f}", file=sys.stderr)
 
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)

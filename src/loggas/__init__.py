@@ -39,7 +39,7 @@ from .hamiltonian import (
 )
 from .fekete import FeketeResult, hermite_oracle, minimize
 from .field import CylinderField, make_field, w_quadrature
-from .sampler import GasStatistics, SamplerConfig, metropolis_accept, run
+from .sampler import GasStatistics, SamplerConfig, metropolis_accept, run, run_many
 from .partition import (
     PartitionReport,
     mehta_log_z,
@@ -89,6 +89,7 @@ __all__ = [
     "quartic",
     "rescale_w",
     "run",
+    "run_many",
     "semicircle_equilibrium",
     "solve_equilibrium",
     "thermo_log_z",

@@ -161,6 +161,7 @@ def _cmd_sample(args) -> int:
         "acceptance": stats.acceptance,
         "chain_acceptance": [float(a) for a in stats.chain_acceptance],
         "step_scales": [float(h) for h in stats.step_scales],
+        "cache_drift": [float(d) for d in stats.cache_drift],
         "windows": {
             f"{x0},{R}": {
                 "mean_count": float(np.mean(trace)),

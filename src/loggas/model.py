@@ -70,6 +70,9 @@ class Potential:
         Tag of V's closed-form equilibrium measure, in the vocabulary of
         `EquilibriumMeasure.closed_form` ("semicircle" for x^2/2); None
         when the measure must be solved for. Read by `equilibrium_for`.
+    blend_of : tuple, optional
+        (a, b, t) when V is `blend(a, b, t)`, so that the sampler can
+        evaluate many blends of one pair as one array expression.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -77,6 +80,7 @@ class Potential:
     growth_check_radius: float
     label: str
     closed_form: str | None = None
+    blend_of: tuple[Potential, Potential, float] | None = None
 
     def __call__(self, x):
         return self.eval(x)
@@ -159,6 +163,7 @@ def blend(a: Potential, b: Potential, t: float) -> Potential:
         deriv=lambda x: (1.0 - t) * a.deriv(x) + t * b.deriv(x),
         growth_check_radius=max(a.growth_check_radius, b.growth_check_radius),
         label=f"blend({a.label},{b.label},{t:g})",
+        blend_of=(a, b, t),
     )
 
 

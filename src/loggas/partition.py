@@ -158,30 +158,28 @@ def thermo_log_z(
         d/dt log Z(t) = < -(beta n / 2) sum_i (V - x^2/2)(x_i) >_{V_t}
 
     integrated by Gauss-Legendre in t; each expectation is the mean of the
-    integrand over the `samples` of one Metropolis run at V_t. Returns
+    integrand over the `samples` of one Metropolis run at V_t, and every
+    node's chains run in one lockstep array (`run_many`). Returns
     (estimate, error bar); the error bar propagates the block-mean
     variance of each node through the quadrature weights.
     Raises ConvergenceError if any node's chains fail the R-hat check.
     """
-    from .sampler import SamplerConfig, run
+    from .sampler import SamplerConfig, run_many
 
     ref = quadratic()
     t_nodes, t_weights = np.polynomial.legendre.leggauss(grid)
     t_nodes = 0.5 * (t_nodes + 1.0)
     t_weights = 0.5 * t_weights
 
+    if sampler_cfg is None:
+        sampler_cfg = SamplerConfig(n=n, beta=beta, V=V, steps=20_000, burn_in=4_000,
+                                    thinning=5, chains=2, seed=9000)
+    cfgs = [sampler_cfg.replaced(V=blend(ref, V, float(t)), seed=sampler_cfg.seed + k)
+            for k, t in enumerate(t_nodes)]
+
     total = mehta_log_z(n, beta)
     var = 0.0
-    for k, (t, wt) in enumerate(zip(t_nodes, t_weights)):
-        Vt = blend(ref, V, float(t))
-        if sampler_cfg is None:
-            cfg = SamplerConfig(
-                n=n, beta=beta, V=Vt, steps=20_000, burn_in=4_000,
-                thinning=5, chains=2, seed=9000 + k,
-            )
-        else:
-            cfg = sampler_cfg.replaced(V=Vt, seed=sampler_cfg.seed + k)
-        stats = run(cfg)
+    for t, wt, cfg, stats in zip(t_nodes, t_weights, cfgs, run_many(cfgs)):
         if not stats.converged:
             raise ConvergenceError(
                 f"thermodynamic node t={t:.3f} failed the R-hat diagnostic",
@@ -190,14 +188,23 @@ def thermo_log_z(
         # integrand of the coupling derivative, sum_i (V - x^2/2)(x_i), per sample
         obs = (V.eval(stats.samples) - ref.eval(stats.samples)).sum(axis=1)
         mean = float(np.mean(obs))
-        # block means absorb residual autocorrelation of the thinned trace
-        nb = 16
-        blocks = np.array_split(obs, nb)
-        bm = np.array([np.mean(b) for b in blocks])
-        se = float(np.std(bm, ddof=1) / math.sqrt(nb))
+        bm = _chain_block_means(obs.reshape(cfg.chains, -1), 16)
+        se = float(np.std(bm, ddof=1) / math.sqrt(len(bm)))
         total += wt * (-(beta * n / 2.0) * mean)
         var += (wt * beta * n / 2.0 * se) ** 2
     return total, math.sqrt(var)
+
+
+def _chain_block_means(traces: np.ndarray, blocks: int) -> np.ndarray:
+    """Means of about `blocks` consecutive blocks, cut inside each chain's
+    own trace (one row of `traces` per chain), chain by chain.
+
+    Each chain gets max(1, blocks // chains) blocks, so no block mixes
+    chains. Block means absorb the residual autocorrelation of a thinned
+    trace.
+    """
+    per = max(1, blocks // len(traces))
+    return np.array([np.mean(b) for trace in traces for b in np.array_split(trace, per)])
 
 
 def next_order_report(

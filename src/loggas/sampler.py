@@ -1,16 +1,20 @@
 """Metropolis sampling of the Gibbs law exp(-(beta/2) w_n) / Z.
 
 Single-site random-walk proposals with O(n) energy updates. All chains of
-a run step in lockstep as one (chains, n) array: each step proposes one
-move per chain, and one vectorised energy change, accept rule and move
-serve every chain at once. Each chain draws its proposals from its own RNG
-stream spawned from the master seed (numpy SeedSequence.spawn), in chunks
-whose sizes do not depend on the chain count, so runs are bit-reproducible
-and a chain's output is the same however many chains run beside it.
-Every statistic, R-hat diagnostic included, is then computed from the
-array of retained samples and their energies in one pass (`_statistics`). Each chain's proposal scale adapts toward 30-50 percent
-acceptance during burn-in only; it is frozen afterward so the invariant
-law is exact.
+every config step in lockstep as one (rows, n) array, one row per chain:
+each step proposes one move per row, and one vectorised energy change,
+accept rule and move serve every row at once. Configs run together
+(`run_many`) share n and the step counts; each row keeps its config's
+beta, V and seed. V is evaluated once per step for each potential family
+(one V object, or blends of one pair). Each chain draws its proposals
+from its own RNG stream spawned from its config's seed (numpy
+SeedSequence.spawn), in chunks whose sizes do not depend on the row
+count, so runs are bit-reproducible and a chain's output is the same
+whatever chains or configs run beside it. Every statistic, R-hat
+diagnostic included, is then computed from the array of retained samples
+and their energies in one pass (`_statistics`). Each chain's proposal
+scale adapts toward 30-50 percent acceptance during burn-in only; it is
+frozen afterward so the invariant law is exact.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .fekete import minimize, quantile_start
 from .hamiltonian import Configuration, energy
 from .model import EquilibriumMeasure, Potential, equilibrium_for, zeta
 
-__all__ = ["SamplerConfig", "GasStatistics", "run", "metropolis_accept"]
+__all__ = ["SamplerConfig", "GasStatistics", "run", "run_many", "metropolis_accept"]
 
 AUDIT_INTERVAL = 10_000
 AUDIT_RTOL = 1e-8
@@ -60,6 +65,8 @@ class SamplerConfig:
             raise ValueError("burn_in and thinning must be at least 1")
         if self.chains < 1 or self.steps < 1:
             raise ValueError("need at least one chain and one step")
+        if self.steps < self.thinning:
+            raise ValueError("steps must be at least thinning, so that each chain keeps a sample")
         if self.init not in ("fekete", "quantile"):
             raise ValueError("init must be 'fekete' or 'quantile'")
 
@@ -82,7 +89,10 @@ class GasStatistics:
     `f_n_trace` and `zeta_trace` (sum of zeta over each row) are empty
     unless V has a closed form (`equilibrium_for`). `acceptance` and
     `chain_acceptance` count post-burn-in proposals only; `step_scales`
-    holds each chain's proposal scale as frozen at the end of burn-in.
+    holds each chain's proposal scale as frozen at the end of burn-in;
+    `cache_drift` holds each chain's largest relative gap between its
+    cached and exact energy over the energy audits (0.0 when the run ends
+    before the first audit).
     """
 
     count_traces: dict[tuple[float, float], np.ndarray]
@@ -97,6 +107,7 @@ class GasStatistics:
     samples: np.ndarray
     chain_acceptance: np.ndarray
     step_scales: np.ndarray
+    cache_drift: np.ndarray
 
 
 def metropolis_accept(delta, beta: float, u):
@@ -110,9 +121,11 @@ def metropolis_accept(delta, beta: float, u):
 
 
 def _delta_energy(pts: np.ndarray, sites: np.ndarray, xp: np.ndarray, xi: np.ndarray,
-                  V: Potential) -> np.ndarray:
+                  V: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Change of w_n when row c of `pts` moves its site sites[c] from xi[c] to xp[c].
 
+    `V` maps z = (xp, xi), of length 2 rows, to V of each row at its two
+    entries: a `Potential` when every row shares it, else `_row_potential`.
     O(n) per row by differencing. A proposal onto an existing point makes
     a log 0 = -inf term, so its change is +inf and it is never accepted.
     """
@@ -124,13 +137,47 @@ def _delta_energy(pts: np.ndarray, sites: np.ndarray, xp: np.ndarray, xi: np.nda
     d[:, np.arange(m), sites] = 1.0
     with np.errstate(divide="ignore"):
         logs = np.log(d).sum(axis=2)
-    v = np.asarray(V.eval(z), dtype=float)
+    v = np.asarray(V(z), dtype=float)
     return -2.0 * (logs[0] - logs[1]) + n * (v[:m] - v[m:])
 
 
+def _row_potential(Vs: Sequence[Potential]) -> Callable[[np.ndarray], np.ndarray]:
+    """The map z -> V of row r at z[r] and z[m + r] (m = len(Vs)), with one
+    evaluation per family: rows sharing one V object take one `V.eval`, and
+    rows that blend one pair (a, b) take blend's own expression with t as a
+    column, in its order, so the rounding matches `blend`."""
+    m = len(Vs)
+    families: dict = {}
+    for r, V in enumerate(Vs):
+        key = (id(V.blend_of[0]), id(V.blend_of[1])) if V.blend_of else id(V)
+        families.setdefault(key, []).append(r)
+    parts = []
+    for rows in families.values():
+        entries = np.concatenate([rows, np.add(rows, m)])
+        V = Vs[rows[0]]
+        if V.blend_of:
+            a, b, _ = V.blend_of
+            t = np.array([Vs[r].blend_of[2] for r in rows] * 2)
+            parts.append((entries, lambda z, a=a, b=b, t=t: (1.0 - t) * a.eval(z) + t * b.eval(z)))
+        else:
+            parts.append((entries, V.eval))
+    if len(parts) == 1:  # its entries are all of z, in order
+        return parts[0][1]
+
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        v = np.empty_like(z)
+        for entries, f in parts:
+            v[entries] = f(z[entries])
+        return v
+
+    return evaluate
+
+
 def _advance(pts: np.ndarray, w: np.ndarray, sites: np.ndarray, dx: np.ndarray, u: np.ndarray,
-             V: Potential, beta: float) -> np.ndarray:
-    """One Metropolis step of every row: row c proposes moving site sites[c] by dx[c].
+             V: Callable[[np.ndarray], np.ndarray], beta: float | np.ndarray) -> np.ndarray:
+    """One Metropolis step of every row: row c proposes moving site sites[c]
+    by dx[c] at inverse temperature beta (a scalar, or one per row; `V` as in
+    `_delta_energy`).
 
     Updates the sorted rows `pts` and their cached energies `w` in place and
     returns the accepted mask.
@@ -160,36 +207,58 @@ def _initial_config(cfg: SamplerConfig, chain_idx: int, rng: np.random.Generator
     return pts
 
 
-def _run_chains(cfg: SamplerConfig):
-    """Step every chain of `cfg` in lockstep.
+def _run_chains(cfgs: Sequence[SamplerConfig]):
+    """Step every chain of every config in `cfgs` in lockstep, one row per chain.
 
-    Returns the thinned samples (chains, kept, n), their energies
-    (chains, kept), the post-burn-in accept count of each chain and each
-    chain's final step scale.
+    The configs must share n, steps, burn_in and thinning (else
+    ValueError); each row keeps its config's beta, V and seed stream.
+    Returns, rows in config order, the thinned samples (rows, kept, n),
+    their energies (rows, kept), the post-burn-in accept count of each
+    row, each row's final step scale and its largest relative
+    energy-cache drift.
     """
-    n, V = cfg.n, cfg.V
-    mu = (equilibrium_for(V) or (None, None))[0]
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
-    pts = np.array([_initial_config(cfg, c, rng, mu) for c, rng in enumerate(rngs)])
-    w = np.array([energy(Configuration(row), V) for row in pts])
-    scale = np.full(cfg.chains, cfg.initial_step_scale)
-    window_acc = np.zeros(cfg.chains, dtype=np.int64)
-    accepted = np.zeros(cfg.chains, dtype=np.int64)
-    samples, energies = [], []
+    if not cfgs:
+        raise ValueError("need at least one config")
+    first = cfgs[0]
+    shape = (first.n, first.steps, first.burn_in, first.thinning)
+    if any((cfg.n, cfg.steps, cfg.burn_in, cfg.thinning) != shape for cfg in cfgs):
+        raise ValueError("configs run together must share n, steps, burn_in and thinning")
+    n, burn_in, thinning = first.n, first.burn_in, first.thinning
+    rngs, starts, Vs, chain_of = [], [], [], []
+    for cfg in cfgs:
+        mu = (equilibrium_for(cfg.V) or (None, None))[0]
+        own = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
+        starts += [_initial_config(cfg, c, rng, mu) for c, rng in enumerate(own)]
+        rngs += own
+        Vs += [cfg.V] * cfg.chains
+        chain_of += range(cfg.chains)
+    pts = np.array(starts)
+    w = np.array([energy(Configuration(row), V) for row, V in zip(pts, Vs)])
+    chains = [cfg.chains for cfg in cfgs]
+    betas = [cfg.beta for cfg in cfgs]
+    # a beta that every row shares stays a scalar: that spares an array op per step
+    beta = betas[0] if len(set(betas)) == 1 else np.repeat(betas, chains)
+    scale = np.repeat([cfg.initial_step_scale for cfg in cfgs], chains)
+    V_rows = _row_potential(Vs)
+    window_acc = np.zeros(len(pts), dtype=np.int64)
+    accepted = np.zeros(len(pts), dtype=np.int64)
+    drift = np.zeros(len(pts))
+    samples = np.empty((len(pts), first.steps // thinning, n))
+    energies = np.empty(samples.shape[:2])
 
-    total = cfg.burn_in + cfg.steps
+    total = burn_in + first.steps
     done = 0
     while done < total:
         # each chain draws its chunk in its own stream, in the order and
-        # sizes that make it independent of the other chains
+        # sizes that make it independent of the other rows
         m = min(CHUNK, total - done)
         sites = np.stack([rng.integers(0, n, m) for rng in rngs], axis=1)
         moves = np.stack([rng.normal(0.0, 1.0, m) for rng in rngs], axis=1)
         us = np.stack([rng.random(m) for rng in rngs], axis=1)
         for k in range(m):
             gstep = done + k
-            acc = _advance(pts, w, sites[k], scale * moves[k], us[k], V, cfg.beta)
-            if gstep < cfg.burn_in:
+            acc = _advance(pts, w, sites[k], scale * moves[k], us[k], V_rows, beta)
+            if gstep < burn_in:
                 window_acc += acc
                 if (gstep + 1) % ADAPT_WINDOW == 0:
                     rate = window_acc / ADAPT_WINDOW
@@ -198,18 +267,21 @@ def _run_chains(cfg: SamplerConfig):
             else:
                 accepted += acc
             if (gstep + 1) % AUDIT_INTERVAL == 0:
-                for c in range(cfg.chains):
-                    w_true = energy(Configuration(pts[c]), V)
-                    if abs(w[c] - w_true) > AUDIT_RTOL * max(1.0, abs(w_true)):
+                for r, V in enumerate(Vs):
+                    w_true = energy(Configuration(pts[r]), V)
+                    gap, size = abs(w[r] - w_true), max(1.0, abs(w_true))
+                    drift[r] = max(drift[r], gap / size)
+                    if gap > AUDIT_RTOL * size:
                         raise RuntimeError(
-                            f"energy cache of chain {c} drifted: cached {float(w[c])!r} vs exact {w_true!r}"
+                            f"energy cache of chain {chain_of[r]} drifted: cached {float(w[r])!r} vs exact {w_true!r}"
                         )
-                    w[c] = w_true
-            if gstep >= cfg.burn_in and (gstep - cfg.burn_in + 1) % cfg.thinning == 0:
-                samples.append(pts.copy())
-                energies.append(w.copy())
+                    w[r] = w_true
+            if gstep >= burn_in and (gstep - burn_in + 1) % thinning == 0:
+                kept = (gstep - burn_in + 1) // thinning - 1
+                samples[:, kept] = pts
+                energies[:, kept] = w
         done += m
-    return np.stack(samples, axis=1), np.stack(energies, axis=1), accepted, scale
+    return samples, energies, accepted, scale, drift
 
 
 def _gelman_rubin(X: np.ndarray) -> float:
@@ -228,7 +300,8 @@ def _gelman_rubin(X: np.ndarray) -> float:
 
 
 def _statistics(cfg: SamplerConfig, chain_samples: np.ndarray, chain_energies: np.ndarray,
-                chain_acceptance: np.ndarray, step_scales: np.ndarray) -> GasStatistics:
+                chain_acceptance: np.ndarray, step_scales: np.ndarray,
+                cache_drift: np.ndarray) -> GasStatistics:
     """Every field of `GasStatistics` from the (chains, kept, n) samples and
     their (chains, kept) energies, as array expressions."""
     n, chains = cfg.n, len(chain_samples)
@@ -274,16 +347,34 @@ def _statistics(cfg: SamplerConfig, chain_samples: np.ndarray, chain_energies: n
         samples=flat,
         chain_acceptance=chain_acceptance,
         step_scales=step_scales,
+        cache_drift=cache_drift,
     )
+
+
+def run_many(cfgs: Sequence[SamplerConfig]) -> list[GasStatistics]:
+    """Run the chains of every config in one lockstep array and compute each
+    config's statistics from its own rows.
+
+    The configs must share n, steps, burn_in and thinning, else ValueError;
+    beta, V, seed, chain count, init and windows may differ. Each config's
+    result equals its separate `run`, bit for bit.
+    """
+    samples, energies, accepted, scales, drift = _run_chains(cfgs)
+    out, lo = [], 0
+    for cfg in cfgs:
+        rows = slice(lo, lo + cfg.chains)
+        lo += cfg.chains
+        out.append(_statistics(cfg, samples[rows], energies[rows], accepted[rows] / cfg.steps,
+                               scales[rows], drift[rows]))
+    return out
 
 
 def run(cfg: SamplerConfig, threads: int = 1) -> GasStatistics:
     """Run all chains and compute their statistics from the samples.
 
-    The chains step in lockstep in one process; `threads` is accepted for
-    old callers and ignored. The R-hat diagnostic is computed on the
-    energy traces; statistics are returned (not suppressed) even when the
+    The one-config case of `run_many`; `threads` is accepted for old
+    callers and ignored. The R-hat diagnostic is computed on the energy
+    traces; statistics are returned (not suppressed) even when the
     diagnostic fails, with `converged` set accordingly.
     """
-    chain_samples, chain_energies, accepted, scales = _run_chains(cfg)
-    return _statistics(cfg, chain_samples, chain_energies, accepted / cfg.steps, scales)
+    return run_many([cfg])[0]

@@ -246,19 +246,19 @@ def check_crystallization(fast: bool = False) -> CheckResult:
     def body():
         betas = (1.0, 5.0, 20.0, 50.0)
         seeds = (101, 202, 303, 404, 505)
-        means = []
-        for beta in betas:
-            per_seed = []
-            for seed in seeds:
-                cfg = sampler_mod.SamplerConfig(
-                    n=32, beta=beta, V=model_mod.quadratic(),
-                    steps=10_000 if fast else 30_000,
-                    burn_in=2_000 if fast else 5_000,
-                    thinning=25, chains=2, seed=seed,
-                )
-                stats = sampler_mod.run(cfg)
-                per_seed.append(float(np.var(stats.spacing_samples)))
-            means.append(float(np.mean(per_seed)))
+        V = model_mod.quadratic()
+        cfgs = [
+            sampler_mod.SamplerConfig(
+                n=32, beta=beta, V=V,
+                steps=10_000 if fast else 30_000,
+                burn_in=2_000 if fast else 5_000,
+                thinning=25, chains=2, seed=seed,
+            )
+            for beta in betas
+            for seed in seeds
+        ]
+        variances = [float(np.var(stats.spacing_samples)) for stats in sampler_mod.run_many(cfgs)]
+        means = [float(np.mean(variances[i:i + len(seeds)])) for i in range(0, len(variances), len(seeds))]
         decreasing = all(b < a for a, b in zip(means, means[1:]))
         return decreasing, (
             "mean spacing variance over 5 seeds at beta=1,5,20,50: "

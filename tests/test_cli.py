@@ -80,7 +80,9 @@ def test_sample_outputs(tmp_path):
     assert stats["config"]["n"] == 4
     assert stats["config"]["potential"] == "quadratic"
     assert 0.0 < stats["acceptance"] < 1.0
-    assert len(stats["chain_acceptance"]) == len(stats["step_scales"]) == 2
+    assert len(stats["chain_acceptance"]) == len(stats["step_scales"]) == len(stats["cache_drift"]) == 2
+    # burn-in 10,000 + 2,000 steps pass one energy audit
+    assert all(0.0 <= d <= 1e-8 for d in stats["cache_drift"])
     lines = (out / "samples.csv").read_text().strip().splitlines()
     assert lines[0] == "sample,x0,x1,x2,x3"
     # 2 chains x 2000 steps / default thinning 50

@@ -5,6 +5,7 @@ import pytest
 
 from loggas import (
     SamplerConfig,
+    blend,
     mehta_log_z,
     minimize,
     model_constants,
@@ -12,9 +13,11 @@ from loggas import (
     quadratic,
     quadrature_log_z,
     quartic,
+    run,
     semicircle_equilibrium,
     thermo_log_z,
 )
+from loggas.partition import _chain_block_means
 
 V2 = quadratic()
 CONSTS = model_constants(semicircle_equilibrium(), V2)
@@ -118,6 +121,32 @@ def test_thermo_degenerate_path():
     )
     assert est == pytest.approx(mehta_log_z(2, 2.0), abs=1e-12)
     assert err == pytest.approx(0.0, abs=1e-12)
+
+
+def test_thermo_equals_node_by_node_runs():
+    # reference: one `run` per node and 16 blocks over the chain-major
+    # samples; with 2 chains of 400 kept samples those blocks align with
+    # the chains, so the per-chain blocks of thermo_log_z are the same
+    n, beta, Q, ref = 2, 2.0, quartic(), quadratic()
+    cfg = SamplerConfig(n=n, beta=beta, V=Q, steps=2_000, burn_in=500, thinning=5, chains=2, seed=3)
+    t_nodes, t_weights = np.polynomial.legendre.leggauss(4)
+    total, var = mehta_log_z(n, beta), 0.0
+    for k, (t, wt) in enumerate(zip(0.5 * (t_nodes + 1.0), 0.5 * t_weights)):
+        stats = run(cfg.replaced(V=blend(ref, Q, float(t)), seed=cfg.seed + k))
+        assert stats.converged
+        obs = (Q.eval(stats.samples) - ref.eval(stats.samples)).sum(axis=1)
+        bm = np.array([np.mean(b) for b in np.array_split(obs, 16)])
+        se = float(np.std(bm, ddof=1) / math.sqrt(16))
+        total += wt * (-(beta * n / 2.0) * float(np.mean(obs)))
+        var += (wt * beta * n / 2.0 * se) ** 2
+    assert thermo_log_z(n, beta, Q, sampler_cfg=cfg, grid=4) == (total, math.sqrt(var))
+
+
+def test_error_blocks_stay_inside_chains():
+    # 3 chains of 101 samples, chain c reading c throughout: a block that
+    # straddled two chains would have a mean strictly between them
+    traces = np.repeat(np.arange(3.0)[:, None], 101, axis=1)
+    assert _chain_block_means(traces, 16).tolist() == [0.0] * 5 + [1.0] * 5 + [2.0] * 5
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from loggas import SamplerConfig, metropolis_accept, minimize, polynomial, quadratic, run
+from loggas import (
+    GasStatistics,
+    SamplerConfig,
+    blend,
+    metropolis_accept,
+    minimize,
+    polynomial,
+    quadratic,
+    quartic,
+    run,
+    run_many,
+)
 from loggas.hamiltonian import Configuration, energy
-from loggas.sampler import _delta_energy
+from loggas.sampler import AUDIT_RTOL, _delta_energy
 
 V2 = quadratic()
 
@@ -51,6 +63,7 @@ def test_run_keeps_rows_sorted_and_energy_cache_exact():
     assert 0.0 < out.acceptance <= 1.0
     exact = np.mean([energy(Configuration(row), V2) for row in out.samples])
     assert out.mean_energy == pytest.approx(exact, rel=1e-10)
+    assert np.array_equal(out.cache_drift, [0.0])
 
 
 def test_detailed_balance_three_state_toy():
@@ -152,6 +165,42 @@ def test_chains_do_not_depend_on_chain_count():
     assert np.array_equal(five.chain_acceptance[:2], two.chain_acceptance)
 
 
+def _assert_same_statistics(a: GasStatistics, b: GasStatistics):
+    for f in dataclasses.fields(GasStatistics):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, dict):
+            assert x.keys() == y.keys(), f.name
+            assert all(np.array_equal(x[k], y[k]) for k in x), f.name
+        else:
+            assert np.array_equal(x, y), f.name
+
+
+def test_configs_do_not_depend_on_ladder():
+    # 10,500 steps cross a 4096-step chunk boundary and an energy audit; the
+    # two blends of one pair sit apart, with a plain V between them
+    Q = quartic()
+    base = SamplerConfig(n=8, beta=2.0, V=V2, steps=9_500, burn_in=1_000, thinning=10, chains=2, seed=4)
+    ladder = [
+        base.replaced(V=blend(V2, Q, 0.25), windows=((0.0, 4.0),)),
+        base.replaced(beta=5.0, chains=3, seed=11),
+        base.replaced(beta=1.0, V=blend(V2, Q, 0.8), chains=1, seed=5, init="quantile",
+                      windows=((0.5, 2.0), (0.0, 8.0))),
+    ]
+    together = run_many(ladder)
+    assert len(together) == len(ladder)
+    for cfg, stats in zip(ladder, together):
+        _assert_same_statistics(stats, run(cfg))
+        assert stats.cache_drift.shape == (cfg.chains,)
+        assert np.all((stats.cache_drift >= 0.0) & (stats.cache_drift <= AUDIT_RTOL))
+
+
+@pytest.mark.parametrize("field", ["n", "steps", "burn_in", "thinning"])
+def test_ladder_rejects_configs_of_other_shape(field):
+    cfg = SamplerConfig(n=4, beta=2.0, V=V2, steps=100, burn_in=10, thinning=5, chains=1)
+    with pytest.raises(ValueError):
+        run_many([cfg, cfg.replaced(**{field: getattr(cfg, field) + 1})])
+
+
 def test_acceptance_is_mean_of_chain_acceptance():
     out = _short_run(2.0, 3)
     assert out.chain_acceptance.shape == (2,)
@@ -176,3 +225,5 @@ def test_config_validation():
         SamplerConfig(n=4, beta=1.0, V=V2, burn_in=0)
     with pytest.raises(ValueError):
         SamplerConfig(n=4, beta=1.0, V=V2, init="random")
+    with pytest.raises(ValueError):
+        SamplerConfig(n=4, beta=1.0, V=V2, steps=40, thinning=50)
