@@ -12,9 +12,17 @@ negative background on the real line, Delta H_bg = 2 pi delta_R. The
 one-dimensional solution of H_bg'' (y) = 2 pi delta(y) is pi |y|, and
 adding it makes div E = 2 pi (sum_i delta_{a_i} - delta_R) exactly.
 
-The field itself is E = -grad H = (Re S, -Im S) - (0, pi sign(y)) with
-S(z) = (pi/N) sum_i cot(pi (z - a_i)/N); sign(0) is taken as 0 (the
-symmetric principal value on a measure-zero set).
+The field is E = -grad H = (Re S, -Im S) - (0, pi sign(y)) with
+S(z) = (pi/N) sum_i cot(pi (z - a_i)/N). Since cot t = i (e^{2it} + 1) /
+(e^{2it} - 1), with u = e^{2 pi i z/N} and v_i = e^{2 pi i a_i/N}
+
+    S = (pi i/N) (2 T - N),  T = u sum_i 1/(u - v_i):
+
+one exponential per node and one reciprocal per (node, charge) pair. The
+-N cancels the background pi, so E = -(2 pi/N) (Im T, Re T) for y > 0.
+E_x is even in y and E_y odd, so T is taken at |y| and E_y gets sign(y)
+(0 on the line, the symmetric principal value). Then |u| <= 1 and E is
+finite at any height; cos/sin of pi z/N overflow once |y| > 226 N.
 
 The energy integral subtracts the self-energy of each charge through the
 pi log eta counterterm:
@@ -88,13 +96,14 @@ def make_field(config: PeriodicConfig) -> CylinderField:
             np.abs(2.0 * np.sin(w))
         ).sum(axis=-1)
 
+    v = np.exp(2j * np.pi * pts / N)
+
     def field(x, y):
-        x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        z = x + 1j * y
-        w = np.pi * (z[..., None] - pts) / N
-        S = (np.pi / N) * (np.cos(w) / np.sin(w)).sum(axis=-1)
-        return S.real, -S.imag - np.pi * np.sign(y)
+        u = np.exp((2.0 * np.pi / N) * (1j * np.asarray(x, dtype=float) - np.abs(y)))
+        d = u[..., None] - v
+        T = u * np.reciprocal(d, out=d).sum(axis=-1)
+        return (-2.0 * np.pi / N) * T.imag, (-2.0 * np.pi / N) * np.sign(y) * T.real
 
     return CylinderField(config=config, potential=potential, field=field)
 
@@ -108,9 +117,14 @@ def _distance_ladder(s: float, levels: int, refine: int) -> np.ndarray:
     return np.array(out)
 
 
-def _wrapped_inf_dist(X: np.ndarray, Y: np.ndarray, pts: np.ndarray, N: int) -> np.ndarray:
-    dx = np.abs((X[..., None] - pts + N / 2.0) % N - N / 2.0)
-    return np.minimum.reduce(np.maximum(dx, np.abs(Y)[..., None]), axis=-1)
+def _density(field: CylinderField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|E|^2 at the nodes, 100k at a time; FloatingPointError unless finite."""
+    with np.errstate(divide="raise", invalid="raise"):
+        dens = np.concatenate([field.energy_density(x[i:i + 100_000], y[i:i + 100_000])
+                               for i in range(0, len(x), 100_000)])
+    if not np.all(np.isfinite(dens)):
+        raise FloatingPointError("non-finite energy density at a quadrature node")
+    return dens
 
 
 def w_quadrature(
@@ -138,7 +152,8 @@ def w_quadrature(
 
     Every patch edge p +- s and the height y = s are mesh lines, so each
     kept Gauss node lies at inf-distance >= s - 1e-12 from every charge
-    and each polar node at r >= eta; a non-finite integrand still raises
+    and each polar node at r >= eta. Bulk, patch and tail nodes all pass
+    one finite check: a non-finite integrand at any of them raises
     FloatingPointError rather than return a wrong number.
     """
     cfg = field.config
@@ -173,59 +188,44 @@ def w_quadrature(
     yb = sorted(set(np.round(ladder, 12)) | set(np.round(np.arange(top, y_cut, h0), 12)))
     yb = np.array([v for v in yb if v < y_cut - 1e-12] + [y_cut])
 
+    # a cell is kept when its center is at inf-distance > s from every
+    # charge; min_i max(dx_i, y) = max(min_i dx_i, y) on the tensor mesh
     xc = 0.5 * (xb[1:] + xb[:-1])
     yc = 0.5 * (yb[1:] + yb[:-1])
-    X, Y = np.meshgrid(xc, yc, indexing="ij")
-    DX, DY = np.meshgrid(np.diff(xb), np.diff(yb), indexing="ij")
-    keep = _wrapped_inf_dist(X, Y, pts, N) > s - 1e-12
-    Xf = X[keep]
-    Yf = Y[keep]
-    DXf = DX[keep]
-    DYf = DY[keep]
-    Af = DXf * DYf
+    dx = np.abs((xc[:, None] - pts + N / 2.0) % N - N / 2.0).min(axis=1)
+    ix, iy = np.nonzero(np.maximum(dx[:, None], yc) > s - 1e-12)
+    hx, hy = np.diff(xb)[ix], np.diff(yb)[iy]
 
-    # tensor 2x2 Gauss rule per cell: nodes at center +- dx/(2 sqrt 3)
+    # tensor 2x2 Gauss rule per cell: nodes at center +- h/(2 sqrt 3)
     xi = 0.5 / math.sqrt(3.0)
-    bulk = 0.0
-    with np.errstate(divide="raise", invalid="raise"):
-        for i0 in range(0, len(Xf), 100_000):
-            sl = slice(i0, i0 + 100_000)
-            acc = np.zeros(len(Xf[sl]))
-            for sx in (-xi, xi):
-                for sy in (-xi, xi):
-                    vals = field.energy_density(
-                        Xf[sl] + sx * DXf[sl], Yf[sl] + sy * DYf[sl]
-                    )
-                    if not np.all(np.isfinite(vals)):
-                        raise FloatingPointError("non-finite energy density on the mesh")
-                    acc += vals
-            bulk += float(np.dot(acc, 0.25 * Af[sl]))
-    bulk *= 2.0  # mirror symmetry in y
+    bx = (xc[ix] + np.array([-xi, -xi, xi, xi])[:, None] * hx).ravel()
+    by = (yc[iy] + np.array([-xi, xi, -xi, xi])[:, None] * hy).ravel()
+    bw = np.tile(0.25 * hx * hy, 4)
 
-    # per-charge square patch in polar coordinates, log-radial nodes
+    # per-charge square patch of the upper half plane in polar coordinates:
+    # 24 Gauss angles in each quarter of [0, pi], and 24 Gauss nodes in
+    # log r from eta to the square's edge at each angle (weight r^2)
     gl_t, gl_w = _GL24
-    polar = 0.0
-    for p in pts:
-        for k in range(4):
-            t0, t1 = k * np.pi / 4.0, (k + 1) * np.pi / 4.0
-            th = 0.5 * (t1 - t0) * gl_t + 0.5 * (t1 + t0)
-            wth = 0.5 * (t1 - t0) * gl_w
-            rmax = s / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-            for tj, wj, rm in zip(th, wth, rmax):
-                smax = math.log(rm / eta)
-                sv = 0.5 * smax * (gl_t + 1.0)
-                wsv = 0.5 * smax * gl_w
-                r = eta * np.exp(sv)
-                f = field.energy_density(p + r * np.cos(tj), r * np.sin(tj)) * r * r
-                polar += 2.0 * wj * float(np.dot(f, wsv))
+    th = ((np.pi / 8.0) * (gl_t + 2.0 * np.arange(4)[:, None] + 1.0)).ravel()
+    wth = np.tile((np.pi / 8.0) * gl_w, 4)
+    rmax = s / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
+    smax = np.log(rmax / eta)[:, None]
+    r = eta * np.exp(0.5 * smax * (gl_t + 1.0))
+    pw = wth[:, None] * (0.5 * smax * gl_w) * r * r
+    px = (pts[:, None, None] + r * np.cos(th)[:, None]).ravel()
+    py = np.broadcast_to(r * np.sin(th)[:, None], (n, *r.shape)).ravel()
 
-    # tail envelope: |E| <= C exp(-2 pi y / N) beyond y_cut, C fit at y_cut
+    # upper half plane only: the mirror in y doubles it and the 1/2 of the
+    # energy halves it again
+    dens = _density(field, np.concatenate([bx, px]), np.concatenate([by, py]))
+    energy = float(np.dot(dens, np.concatenate([bw, np.tile(pw.ravel(), n)])))
+
+    # tail: |E|^2 <= M exp(-4 pi (|y| - y_cut)/N) beyond y_cut, M the largest
+    # |E|^2 sampled at y_cut; 1/(2N) of its integral over both tails is M N/(4 pi)
     xs = (np.arange(4 * n + 5) * (N / (4 * n + 5.0))) % N
-    dens = field.energy_density(xs, np.full_like(xs, y_cut))
-    c_sq = float(dens.max()) * math.exp(4.0 * np.pi * y_cut / N)
-    tail = c_sq * N / (4.0 * np.pi) * math.exp(-4.0 * np.pi * y_cut / N)
+    tail = float(_density(field, xs, np.full_like(xs, y_cut)).max()) * N / (4.0 * np.pi)
 
     # pi n log eta: self energy counterterm; -4 pi n eta: exact cross
     # term between each charge and the background jump (module docstring)
     counter = np.pi * n * math.log(eta) - 4.0 * np.pi * n * eta
-    return (0.5 * (bulk + polar) + counter) / N + tail
+    return (energy + counter) / N + tail

@@ -162,7 +162,9 @@ def thermo_log_z(
     node's chains run in one lockstep array (`run_many`). Returns
     (estimate, error bar); the error bar propagates the block-mean
     variance of each node through the quadrature weights.
-    Raises ConvergenceError if any node's chains fail the R-hat check.
+    Raises ValueError, before any chain runs, if a chain would keep fewer
+    samples than it has error-bar blocks, and ConvergenceError if any
+    node's chains fail the R-hat check.
     """
     from .sampler import SamplerConfig, run_many
 
@@ -174,6 +176,9 @@ def thermo_log_z(
     if sampler_cfg is None:
         sampler_cfg = SamplerConfig(n=n, beta=beta, V=V, steps=20_000, burn_in=4_000,
                                     thinning=5, chains=2, seed=9000)
+    kept, blocks = sampler_cfg.steps // sampler_cfg.thinning, _blocks_per_chain(sampler_cfg.chains)
+    if kept < blocks:
+        raise ValueError(f"each chain keeps {kept} samples, fewer than its {blocks} error-bar blocks")
     cfgs = [sampler_cfg.replaced(V=blend(ref, V, float(t)), seed=sampler_cfg.seed + k)
             for k, t in enumerate(t_nodes)]
 
@@ -188,14 +193,14 @@ def thermo_log_z(
         # integrand of the coupling derivative, sum_i (V - x^2/2)(x_i), per sample
         obs = (V.eval(stats.samples) - ref.eval(stats.samples)).sum(axis=1)
         mean = float(np.mean(obs))
-        bm = _chain_block_means(obs.reshape(cfg.chains, -1), 16)
+        bm = _chain_block_means(obs.reshape(cfg.chains, -1))
         se = float(np.std(bm, ddof=1) / math.sqrt(len(bm)))
         total += wt * (-(beta * n / 2.0) * mean)
         var += (wt * beta * n / 2.0 * se) ** 2
     return total, math.sqrt(var)
 
 
-def _chain_block_means(traces: np.ndarray, blocks: int) -> np.ndarray:
+def _chain_block_means(traces: np.ndarray, blocks: int = 16) -> np.ndarray:
     """Means of about `blocks` consecutive blocks, cut inside each chain's
     own trace (one row of `traces` per chain), chain by chain.
 
@@ -203,8 +208,12 @@ def _chain_block_means(traces: np.ndarray, blocks: int) -> np.ndarray:
     chains. Block means absorb the residual autocorrelation of a thinned
     trace.
     """
-    per = max(1, blocks // len(traces))
+    per = _blocks_per_chain(len(traces), blocks)
     return np.array([np.mean(b) for trace in traces for b in np.array_split(trace, per)])
+
+
+def _blocks_per_chain(chains: int, blocks: int = 16) -> int:
+    return max(1, blocks // chains)
 
 
 def next_order_report(

@@ -5,9 +5,65 @@ import numpy as np
 import pytest
 
 from loggas import PeriodicConfig, lattice, make_field, periodic_w, w_quadrature
-from loggas.verify import random_periodic_points
+from loggas.verify import field_cases, random_periodic_points
 
 LATTICE_W = -math.pi * math.log(2.0 * math.pi)
+
+# w_quadrature(make_field(cfg)) for field_cases(default_rng(1137), 5), as
+# computed from the field's cot-sum form
+PINNED_W = {
+    "lattice-1": -5.774270921792953,
+    "lattice-2": -5.773884999296943,
+    "lattice-8": -5.7738849992969214,
+    "random-0": -0.5511944886032324,
+    "random-1": -3.120453619077333,
+    "random-2": 2.6957409167470994,
+    "random-3": 3.6110990835992607,
+    "random-4": -2.7865110157622888,
+}
+
+
+def cot_sum_field(cfg, x, y):
+    """Reference E = (Re S, -Im S - pi sign y), S = (pi/N) sum_i cot(pi (z - a_i)/N)."""
+    N = cfg.period
+    w = np.pi * ((x + 1j * y)[..., None] - cfg.points) / N
+    S = (np.pi / N) * (np.cos(w) / np.sin(w)).sum(axis=-1)
+    return S.real, -S.imag - np.pi * np.sign(y)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 12])
+def test_field_matches_cot_sum(N):
+    rng = np.random.default_rng(300 + N)
+    cfg = PeriodicConfig(N, random_periodic_points(rng, N))
+    # random points in both half-planes up to |y| = N (higher up the
+    # reference loses digits to its -Im S - pi cancellation), and points
+    # at r = 1e-2 and 1e-4 from each charge at random angles
+    r = np.repeat([1e-2, 1e-4], 8 * N)
+    th = rng.uniform(0.0, 2.0 * np.pi, r.size)
+    a = np.tile(cfg.points, 16)
+    xs = np.concatenate([rng.uniform(0.0, N, 400), a + r * np.cos(th)])
+    ys = np.concatenate([rng.uniform(-N, N, 400), r * np.sin(th)])
+    ex, ey = make_field(cfg).field(xs, ys)
+    rx, ry = cot_sum_field(cfg, xs, ys)
+    assert np.max(np.hypot(ex - rx, ey - ry) / np.hypot(rx, ry)) <= 1e-10
+
+
+def test_field_finite_far_from_the_line():
+    # cos/sin of pi z/N overflow to nan here; the exponential form does not
+    N = 4
+    cfg = PeriodicConfig(N, np.array([0.3, 1.2, 2.0, 3.5]))
+    xs = np.linspace(0.0, N, 9)
+    with np.errstate(all="ignore"):
+        assert np.all(np.isnan(cot_sum_field(cfg, xs, np.full_like(xs, 300.0 * N))[0]))
+    for y in (300.0 * N, -300.0 * N):
+        ex, ey = make_field(cfg).field(xs, np.full_like(xs, y))
+        assert np.all(np.isfinite(ex)) and np.all(np.isfinite(ey))
+        assert np.max(np.hypot(ex, ey)) <= 1e-300
+
+
+def test_w_quadrature_pinned():
+    for name, cfg in field_cases(np.random.default_rng(1137), 5):
+        assert w_quadrature(make_field(cfg)) == pytest.approx(PINNED_W[name], rel=1e-11, abs=0.0)
 
 
 def test_midpoint_field_vanishes():
@@ -120,6 +176,20 @@ def test_non_finite_density_raises():
     bad = dataclasses.replace(f, field=lambda x, y: (np.full(np.shape(x), np.inf), np.zeros(np.shape(x))))
     with pytest.raises(FloatingPointError):
         w_quadrature(bad)
+
+
+def test_non_finite_density_near_a_charge_raises():
+    # inf only within 0.1 of the charge: inside the polar patch (s = 1/8),
+    # never at a bulk or tail node
+    f = make_field(lattice(1))
+
+    def field(x, y):
+        ex, ey = f.field(x, y)
+        near = np.hypot((x + 0.5) % 1.0 - 0.5, y) < 0.1
+        return np.where(near, np.inf, ex), ey
+
+    with pytest.raises(FloatingPointError):
+        w_quadrature(dataclasses.replace(f, field=field))
 
 
 def test_energy_density_positive():

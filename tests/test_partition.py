@@ -149,6 +149,14 @@ def test_error_blocks_stay_inside_chains():
     assert _chain_block_means(traces, 16).tolist() == [0.0] * 5 + [1.0] * 5 + [2.0] * 5
 
 
+def test_thermo_rejects_fewer_samples_than_blocks():
+    # 30 steps thinned by 5 keep 6 samples per chain against 16 // 2 = 8
+    # blocks, which would leave empty blocks and a NaN error bar
+    cfg = SamplerConfig(n=2, beta=2.0, V=quartic(), steps=30, burn_in=500, thinning=5, chains=2, seed=4)
+    with pytest.raises(ValueError, match=r"keeps 6 samples.* 8 error-bar blocks"):
+        thermo_log_z(2, 2.0, quartic(), sampler_cfg=cfg, grid=2)
+
+
 @pytest.fixture(scope="module")
 def thermo_quartic_runs():
     def one(steps, seed):
