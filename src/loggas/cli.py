@@ -162,6 +162,7 @@ def _cmd_sample(args) -> int:
         "chain_acceptance": [float(a) for a in stats.chain_acceptance],
         "step_scales": [float(h) for h in stats.step_scales],
         "cache_drift": [float(d) for d in stats.cache_drift],
+        "steps_per_s": stats.steps_per_s,
         "windows": {
             f"{x0},{R}": {
                 "mean_count": float(np.mean(trace)),
@@ -375,3 +376,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -22,7 +22,9 @@ one exponential per node and one reciprocal per (node, charge) pair. The
 -N cancels the background pi, so E = -(2 pi/N) (Im T, Re T) for y > 0.
 E_x is even in y and E_y odd, so T is taken at |y| and E_y gets sign(y)
 (0 on the line, the symmetric principal value). Then |u| <= 1 and E is
-finite at any height; cos/sin of pi z/N overflow once |y| > 226 N.
+finite at any height; cos/sin of pi z/N overflow once |y| > 226 N. H,
+the field's independent check, is summed charge by charge from bounded
+terms with the pi |y| taken out, so it is finite at any height too.
 
 The energy integral subtracts the self-energy of each charge through the
 pi log eta counterterm:
@@ -90,11 +92,15 @@ def make_field(config: PeriodicConfig) -> CylinderField:
     pts = np.array(config.points)
 
     def potential(x, y):
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        w = np.pi * (z[..., None] - pts) / N
-        return np.pi * np.abs(np.asarray(y, dtype=float)) - np.log(
-            np.abs(2.0 * np.sin(w))
-        ).sum(axis=-1)
+        # H = pi|y| - sum_a log|2 sin w_a|, w_a = pi (x + iy - a)/N. Each term
+        # is |Im w_a| + log|1 - e^{2i w~_a}| with w~_a = Re w_a + i|Im w_a|,
+        # and the N shares |Im w_a| = pi|y|/N cancel pi|y|. With s = 2|Im w_a|,
+        # |1 - e^{2i w~_a}|^2 = (1 - e^{-s})^2 + 4 e^{-s} sin^2(Re w_a): a sum
+        # of terms in [0, 4] that neither overflows far from the line nor
+        # cancels near a charge
+        s = (2.0 * np.pi / N) * np.abs(np.asarray(y, dtype=float))[..., None]
+        sin = np.sin(np.pi * (np.asarray(x, dtype=float)[..., None] - pts) / N)
+        return -0.5 * np.log(np.expm1(-s) ** 2 + 4.0 * np.exp(-s) * sin * sin).sum(axis=-1)
 
     v = np.exp(2j * np.pi * pts / N)
 

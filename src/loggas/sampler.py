@@ -10,9 +10,11 @@ beta, V and seed. V is evaluated once per step for each potential family
 from its own RNG stream spawned from its config's seed (numpy
 SeedSequence.spawn), in chunks whose sizes do not depend on the row
 count, so runs are bit-reproducible and a chain's output is the same
-whatever chains or configs run beside it. Every statistic, R-hat
-diagnostic included, is then computed from the array of retained samples
-and their energies in one pass (`_statistics`). Each chain's proposal
+whatever chains or configs run beside it. A run owns one workspace and
+each chunk builds its flat site indices and scaled steps, so a step
+allocates no array of n entries. Every statistic, R-hat diagnostic
+included, is then computed from the array of retained samples and their
+energies in one pass (`_statistics`). Each chain's proposal
 scale adapts toward 30-50 percent acceptance during burn-in only; it is
 frozen afterward so the invariant law is exact.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -92,7 +95,8 @@ class GasStatistics:
     holds each chain's proposal scale as frozen at the end of burn-in;
     `cache_drift` holds each chain's largest relative gap between its
     cached and exact energy over the energy audits (0.0 when the run ends
-    before the first audit).
+    before the first audit). `steps_per_s`, each chain's steps (burn-in
+    included) per second of the stepping loop, is shared by a lockstep run.
     """
 
     count_traces: dict[tuple[float, float], np.ndarray]
@@ -108,6 +112,7 @@ class GasStatistics:
     chain_acceptance: np.ndarray
     step_scales: np.ndarray
     cache_drift: np.ndarray
+    steps_per_s: float
 
 
 def metropolis_accept(delta, beta: float, u):
@@ -120,24 +125,24 @@ def metropolis_accept(delta, beta: float, u):
     return ok if ok.ndim else bool(ok)
 
 
-def _delta_energy(pts: np.ndarray, sites: np.ndarray, xp: np.ndarray, xi: np.ndarray,
+def _delta_energy(pts: np.ndarray, at: np.ndarray, z: np.ndarray, d: np.ndarray,
                   V: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Change of w_n when row c of `pts` moves its site sites[c] from xi[c] to xp[c].
+    """Change of w_n when row c of `pts` moves its point at flat index at[c] from z[1, c] to z[0, c].
 
-    `V` maps z = (xp, xi), of length 2 rows, to V of each row at its two
-    entries: a `Potential` when every row shares it, else `_row_potential`.
-    O(n) per row by differencing. A proposal onto an existing point makes
-    a log 0 = -inf term, so its change is +inf and it is never accepted.
+    at[rows + c] = at[c] + rows n is that site in d[1] of the (2, rows, n)
+    workspace `d`. `V` maps z.ravel() to V of each row at its two entries:
+    a `Potential` when every row shares it, else `_row_potential`. O(n) per
+    row by differencing. A proposal onto an existing point makes a log 0 =
+    -inf term (the caller ignores the divide error), so its change is +inf
+    and it is never accepted.
     """
     m, n = pts.shape
-    z = np.concatenate([xp, xi])
     # distances of every point to the new (d[0]) and old (d[1]) position;
     # the moved site's own entry is set to 1 so that its log is 0
-    d = np.abs(pts - z.reshape(2, m, 1))
-    d[:, np.arange(m), sites] = 1.0
-    with np.errstate(divide="ignore"):
-        logs = np.log(d).sum(axis=2)
-    v = np.asarray(V(z), dtype=float)
+    np.abs(np.subtract(pts, z[:, :, None], out=d), out=d)
+    d.reshape(-1)[at] = 1.0
+    logs = np.add.reduce(np.log(d, out=d), axis=2)
+    v = np.asarray(V(z.reshape(-1)), dtype=float)
     return -2.0 * (logs[0] - logs[1]) + n * (v[:m] - v[m:])
 
 
@@ -173,28 +178,6 @@ def _row_potential(Vs: Sequence[Potential]) -> Callable[[np.ndarray], np.ndarray
     return evaluate
 
 
-def _advance(pts: np.ndarray, w: np.ndarray, sites: np.ndarray, dx: np.ndarray, u: np.ndarray,
-             V: Callable[[np.ndarray], np.ndarray], beta: float | np.ndarray) -> np.ndarray:
-    """One Metropolis step of every row: row c proposes moving site sites[c]
-    by dx[c] at inverse temperature beta (a scalar, or one per row; `V` as in
-    `_delta_energy`).
-
-    Updates the sorted rows `pts` and their cached energies `w` in place and
-    returns the accepted mask.
-    """
-    rows = np.arange(len(pts))
-    xi = pts[rows, sites]
-    xp = xi + dx
-    delta = _delta_energy(pts, sites, xp, xi, V)
-    acc = metropolis_accept(delta, beta, u)
-    pts[rows, sites] = np.where(acc, xp, xi)
-    np.add(w, delta, out=w, where=acc)
-    # an accepted move may cross a neighbour; the other rows are sorted
-    # already and have no ties, so sorting leaves them as they are
-    pts.sort(axis=1)
-    return acc
-
-
 def _initial_config(cfg: SamplerConfig, chain_idx: int, rng: np.random.Generator,
                     mu: EquilibriumMeasure | None) -> np.ndarray:
     if cfg.init == "fekete" and chain_idx == 0:
@@ -215,7 +198,11 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     Returns, rows in config order, the thinned samples (rows, kept, n),
     their energies (rows, kept), the post-burn-in accept count of each
     row, each row's final step scale and its largest relative
-    energy-cache drift.
+    energy-cache drift, and the steps per second of each chain.
+
+    One workspace per run (z = (xp, xi), the distances d, each row's flat
+    offset in d[0] then d[1]); per chunk, the flat site indices and the
+    steps scale * moves, redone after each burn-in adaptation.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -233,6 +220,7 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
         Vs += [cfg.V] * cfg.chains
         chain_of += range(cfg.chains)
     pts = np.array(starts)
+    rows = len(pts)
     w = np.array([energy(Configuration(row), V) for row, V in zip(pts, Vs)])
     chains = [cfg.chains for cfg in cfgs]
     betas = [cfg.beta for cfg in cfgs]
@@ -240,48 +228,66 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     beta = betas[0] if len(set(betas)) == 1 else np.repeat(betas, chains)
     scale = np.repeat([cfg.initial_step_scale for cfg in cfgs], chains)
     V_rows = _row_potential(Vs)
-    window_acc = np.zeros(len(pts), dtype=np.int64)
-    accepted = np.zeros(len(pts), dtype=np.int64)
-    drift = np.zeros(len(pts))
-    samples = np.empty((len(pts), first.steps // thinning, n))
+    window_acc = np.zeros(rows, dtype=np.int64)
+    accepted = np.zeros(rows, dtype=np.int64)
+    drift = np.zeros(rows)
+    samples = np.empty((rows, first.steps // thinning, n))
     energies = np.empty(samples.shape[:2])
+
+    z, d, offsets = np.empty((2, rows)), np.empty((2, rows, n)), np.arange(2 * rows) * n
+    xp, xi = z
 
     total = burn_in + first.steps
     done = 0
-    while done < total:
-        # each chain draws its chunk in its own stream, in the order and
-        # sizes that make it independent of the other rows
-        m = min(CHUNK, total - done)
-        sites = np.stack([rng.integers(0, n, m) for rng in rngs], axis=1)
-        moves = np.stack([rng.normal(0.0, 1.0, m) for rng in rngs], axis=1)
-        us = np.stack([rng.random(m) for rng in rngs], axis=1)
-        for k in range(m):
-            gstep = done + k
-            acc = _advance(pts, w, sites[k], scale * moves[k], us[k], V_rows, beta)
-            if gstep < burn_in:
-                window_acc += acc
-                if (gstep + 1) % ADAPT_WINDOW == 0:
-                    rate = window_acc / ADAPT_WINDOW
-                    scale = np.where(rate > 0.5, scale * 1.3, np.where(rate < 0.3, scale / 1.3, scale))
-                    window_acc[:] = 0
-            else:
-                accepted += acc
-            if (gstep + 1) % AUDIT_INTERVAL == 0:
-                for r, V in enumerate(Vs):
-                    w_true = energy(Configuration(pts[r]), V)
-                    gap, size = abs(w[r] - w_true), max(1.0, abs(w_true))
-                    drift[r] = max(drift[r], gap / size)
-                    if gap > AUDIT_RTOL * size:
-                        raise RuntimeError(
-                            f"energy cache of chain {chain_of[r]} drifted: cached {float(w[r])!r} vs exact {w_true!r}"
-                        )
-                    w[r] = w_true
-            if gstep >= burn_in and (gstep - burn_in + 1) % thinning == 0:
-                kept = (gstep - burn_in + 1) // thinning - 1
-                samples[:, kept] = pts
-                energies[:, kept] = w
-        done += m
-    return samples, energies, accepted, scale, drift
+    t0 = time.perf_counter()
+    with np.errstate(divide="ignore"):
+        while done < total:
+            # each chain draws its chunk in its own stream, in the order and
+            # sizes that make it independent of the other rows
+            m = min(CHUNK, total - done)
+            sites = np.stack([rng.integers(0, n, m) for rng in rngs], axis=1)
+            at = np.concatenate([sites, sites], axis=1) + offsets
+            moves = np.stack([rng.normal(0.0, 1.0, m) for rng in rngs], axis=1)
+            us = np.stack([rng.random(m) for rng in rngs], axis=1)
+            dx = scale * moves
+            for k in range(m):
+                gstep = done + k
+                flat = at[k, :rows]
+                np.take(pts, flat, out=xi, mode="clip")
+                np.add(xi, dx[k], out=xp)
+                delta = _delta_energy(pts, at[k], z, d, V_rows)
+                acc = metropolis_accept(delta, beta, us[k])
+                np.put(pts, flat, np.where(acc, xp, xi))
+                np.add(w, delta, out=w, where=acc)
+                # an accepted move may cross a neighbour; the other rows are
+                # sorted already and have no ties, so sorting leaves them be
+                pts.sort(axis=1)
+                if gstep < burn_in:
+                    window_acc += acc
+                    if (gstep + 1) % ADAPT_WINDOW == 0:
+                        rate = window_acc / ADAPT_WINDOW
+                        scale = np.where(rate > 0.5, scale * 1.3, np.where(rate < 0.3, scale / 1.3, scale))
+                        window_acc[:] = 0
+                        np.multiply(scale, moves[k + 1:], out=dx[k + 1:])
+                else:
+                    accepted += acc
+                if (gstep + 1) % AUDIT_INTERVAL == 0:
+                    for r, V in enumerate(Vs):
+                        w_true = energy(Configuration(pts[r]), V)
+                        gap, size = abs(w[r] - w_true), max(1.0, abs(w_true))
+                        drift[r] = max(drift[r], gap / size)
+                        if gap > AUDIT_RTOL * size:
+                            raise RuntimeError(
+                                f"energy cache of chain {chain_of[r]} drifted: cached {float(w[r])!r} vs exact {w_true!r}"
+                            )
+                        w[r] = w_true
+                if gstep >= burn_in and (gstep - burn_in + 1) % thinning == 0:
+                    kept = (gstep - burn_in + 1) // thinning - 1
+                    samples[:, kept] = pts
+                    energies[:, kept] = w
+            done += m
+    steps_per_s = total / (time.perf_counter() - t0)
+    return samples, energies, accepted, scale, drift, steps_per_s
 
 
 def _gelman_rubin(X: np.ndarray) -> float:
@@ -301,7 +307,7 @@ def _gelman_rubin(X: np.ndarray) -> float:
 
 def _statistics(cfg: SamplerConfig, chain_samples: np.ndarray, chain_energies: np.ndarray,
                 chain_acceptance: np.ndarray, step_scales: np.ndarray,
-                cache_drift: np.ndarray) -> GasStatistics:
+                cache_drift: np.ndarray, steps_per_s: float) -> GasStatistics:
     """Every field of `GasStatistics` from the (chains, kept, n) samples and
     their (chains, kept) energies, as array expressions."""
     n, chains = cfg.n, len(chain_samples)
@@ -348,6 +354,7 @@ def _statistics(cfg: SamplerConfig, chain_samples: np.ndarray, chain_energies: n
         chain_acceptance=chain_acceptance,
         step_scales=step_scales,
         cache_drift=cache_drift,
+        steps_per_s=steps_per_s,
     )
 
 
@@ -359,13 +366,13 @@ def run_many(cfgs: Sequence[SamplerConfig]) -> list[GasStatistics]:
     beta, V, seed, chain count, init and windows may differ. Each config's
     result equals its separate `run`, bit for bit.
     """
-    samples, energies, accepted, scales, drift = _run_chains(cfgs)
+    samples, energies, accepted, scales, drift, steps_per_s = _run_chains(cfgs)
     out, lo = [], 0
     for cfg in cfgs:
         rows = slice(lo, lo + cfg.chains)
         lo += cfg.chains
         out.append(_statistics(cfg, samples[rows], energies[rows], accepted[rows] / cfg.steps,
-                               scales[rows], drift[rows]))
+                               scales[rows], drift[rows], steps_per_s))
     return out
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from loggas import mehta_log_z
 from loggas.cli import dispatch
 from loggas.model import measure_from_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_renorm_lattice_stdout(capsys):
@@ -38,6 +44,16 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as e:
         dispatch(["no-such-command"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("module", ["loggas.cli", "loggas"])
+def test_module_runs(module):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    ok = subprocess.run([sys.executable, "-m", module, "renorm", "--help"], capture_output=True, text=True, env=env)
+    assert ok.returncode == 0
+    assert "--lattice" in ok.stdout
+    bad = subprocess.run([sys.executable, "-m", module, "no-such-command"], capture_output=True, text=True, env=env)
+    assert bad.returncode == 2
 
 
 def test_fekete_outputs_and_determinism(tmp_path):
@@ -83,6 +99,7 @@ def test_sample_outputs(tmp_path):
     assert len(stats["chain_acceptance"]) == len(stats["step_scales"]) == len(stats["cache_drift"]) == 2
     # burn-in 10,000 + 2,000 steps pass one energy audit
     assert all(0.0 <= d <= 1e-8 for d in stats["cache_drift"])
+    assert math.isfinite(stats["steps_per_s"]) and stats["steps_per_s"] > 0.0
     lines = (out / "samples.csv").read_text().strip().splitlines()
     assert lines[0] == "sample,x0,x1,x2,x3"
     # 2 chains x 2000 steps / default thinning 50

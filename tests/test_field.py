@@ -116,6 +116,17 @@ def test_potential_matches_field_gradient():
         assert float(ey) == pytest.approx(-gy, abs=2e-5)
 
 
+@pytest.mark.parametrize("N", [1, 2, 5, 12])
+def test_potential_finite_far_from_the_line(N):
+    # sin(pi z/N) overflows above |y| ~ 226 N; H decays to 0 like the field
+    f = make_field(PeriodicConfig(N, np.sort(np.random.default_rng(N).uniform(0.0, N, N))))
+    xs = np.linspace(0.0, N, 7)
+    for y in (300.0 * N, -300.0 * N):
+        h = f.potential(xs, np.full_like(xs, y))
+        assert np.all(np.isfinite(h))
+        assert np.max(np.abs(h)) <= 1e-12
+
+
 def test_mirror_symmetry():
     f = make_field(PeriodicConfig(5, np.array([0.1, 1.3, 2.2, 3.8, 4.5])))
     rng = np.random.default_rng(17)
