@@ -7,17 +7,20 @@ The macroscopic state of the gas is the probability measure minimizing
 whose minimizer mu0 (the equilibrium measure) is characterized by the
 optimality condition U(x) + V(x)/2 = c on the support and >= c outside,
 where U is the logarithmic potential of mu0 and c the Robin constant.
+A potential is its ascending polynomial coefficients, and `horner` is the
+one evaluation of V and V' (the sampler runs it on a matrix of them).
 This module provides the quadratic closed form (semicircle), a simplex
 projected-gradient solver for general V, and the derived constants
 c, F(mu0), and alpha = int m0 log(2 pi m0). `equilibrium_for` is the one
-place that maps a potential to its closed form.
+place that maps a potential to its closed form, by its coefficients.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,119 +54,112 @@ __all__ = [
 # potentials
 
 
+#: ascending coefficients of x^2/2, the one V with a closed-form equilibrium measure
+SEMICIRCLE_V = (0.0, 0.0, 0.5)
+
+
+def horner(columns, x):
+    """sum_k columns[k] x^k by Horner's rule, starting from columns[-1] * x.
+
+    Each column is a scalar or an array that broadcasts against x, with at
+    least two columns. A None column stands for zero, and its add is
+    skipped: x^2/2 costs two multiplies, (0.5 x) x, which equals
+    0.5 (x x) bit for bit, and x' = 1 x is x.
+    """
+    acc = columns[-1] * x
+    for c in columns[-2:0:-1]:
+        if c is not None:
+            acc += c
+        acc *= x
+    return acc if columns[0] is None else acc + columns[0]
+
+
 @dataclass(frozen=True)
 class Potential:
-    """A confining field V with an exact derivative.
+    """A confining polynomial field V(x) = sum_k coeffs[k] x^k.
 
     Parameters
     ----------
-    eval : callable
-        Vectorized map x -> V(x).
-    deriv : callable
-        Vectorized map x -> V'(x), exact (no internal differencing).
+    coeffs : tuple of float
+        Ascending coefficients, stored with trailing zeros trimmed. They
+        must be finite, and V must confine (V(x)/2 - log|x| -> infinity):
+        an even degree of at least 2 with a positive leading coefficient.
+        Anything else raises ValueError.
     growth_check_radius : float
-        Radius beyond which V(x)/2 - log|x| is expected to increase; used
-        by confinement checks, not by the solvers themselves.
+        Radius R of the bracket [-R, R] that equilibrium solves and the
+        one-point Fekete search use.
     label : str
-        Short human-readable name, for display only.
-    closed_form : str, optional
-        Tag of V's closed-form equilibrium measure, in the vocabulary of
-        `EquilibriumMeasure.closed_form` ("semicircle" for x^2/2); None
-        when the measure must be solved for. Read by `equilibrium_for`.
-    blend_of : tuple, optional
-        (a, b, t) when V is `blend(a, b, t)`, so that the sampler can
-        evaluate many blends of one pair as one array expression.
+        Short human-readable name, for display only; not compared.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
+    coeffs: tuple[float, ...]
     growth_check_radius: float
-    label: str
-    closed_form: str | None = None
-    blend_of: tuple[Potential, Potential, float] | None = None
+    label: str = field(default="polynomial", compare=False)
+
+    def __post_init__(self):
+        c = np.array(self.coeffs, dtype=float)
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"polynomial coefficients must be finite, got {c.tolist()}")
+        c = tuple(np.trim_zeros(c, "b").tolist())
+        if len(c) < 3 or len(c) % 2 == 0 or c[-1] <= 0.0:
+            raise ValueError(
+                f"V with coefficients {list(c)} does not confine: it needs an even degree"
+                " of at least 2 and a positive leading coefficient"
+            )
+        object.__setattr__(self, "coeffs", c)
+
+    @cached_property
+    def _columns(self) -> tuple:
+        return tuple(c or None for c in self.coeffs)
+
+    @cached_property
+    def _deriv_columns(self) -> tuple:
+        return tuple(k * c or None for k, c in enumerate(self.coeffs))[1:]
+
+    def eval(self, x):
+        """V(x), elementwise."""
+        return horner(self._columns, np.asarray(x, dtype=float))
+
+    def deriv(self, x):
+        """V'(x), elementwise, from the differentiated coefficients."""
+        return horner(self._deriv_columns, np.asarray(x, dtype=float))
 
     def __call__(self, x):
         return self.eval(x)
-
-    def confinement_ok(self, n_samples: int = 64) -> bool:
-        """Check that V(x)/2 - log|x| increases beyond growth_check_radius.
-
-        Sampled proxy for logarithmic confinement; tested on both tails.
-        """
-        r = self.growth_check_radius
-        for sign in (-1.0, 1.0):
-            # index walks outward from the origin for either sign
-            x = sign * np.geomspace(r, 8.0 * r, n_samples)
-            g = self.eval(x) / 2.0 - np.log(np.abs(x))
-            if np.any(np.diff(g) <= 0):
-                return False
-        return True
-
-
-def quadratic() -> Potential:
-    """The canonical quadratic model V(x) = x^2/2 (semicircle equilibrium)."""
-    return Potential(
-        eval=lambda x: 0.5 * np.asarray(x) ** 2,
-        deriv=lambda x: np.asarray(x, dtype=float),
-        growth_check_radius=4.0,
-        label="quadratic",
-        closed_form="semicircle",
-    )
-
-
-def quartic() -> Potential:
-    """V(x) = x^4/4."""
-    return Potential(
-        eval=lambda x: 0.25 * np.asarray(x) ** 4,
-        deriv=lambda x: np.asarray(x) ** 3,
-        growth_check_radius=4.0,
-        label="quartic",
-    )
-
-
-def double_well() -> Potential:
-    """V(x) = x^4/4 - x^2 (two symmetric wells)."""
-    return Potential(
-        eval=lambda x: 0.25 * np.asarray(x) ** 4 - np.asarray(x) ** 2,
-        deriv=lambda x: np.asarray(x) ** 3 - 2.0 * np.asarray(x),
-        growth_check_radius=6.0,
-        label="double-well",
-    )
 
 
 def polynomial(coeffs: Sequence[float]) -> Potential:
     """Potential from ascending coefficients: V(x) = sum_k coeffs[k] x^k.
 
-    The derivative is taken on the coefficients, so it is exact. The
-    coefficients of x^2/2 (trailing zeros aside) give `quadratic()`, so
-    that V keeps its closed form.
+    Raises ValueError for non-finite coefficients or a V that does not
+    confine (see `Potential`).
     """
-    c = np.asarray(list(coeffs), dtype=float)
-    if c.size == 0:
-        raise ValueError("polynomial potential needs at least one coefficient")
-    if tuple(np.trim_zeros(c, "b")) == (0.0, 0.0, 0.5):
-        return quadratic()
-    dc = c[1:] * np.arange(1, c.size)
-    return Potential(
-        eval=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c),
-        deriv=lambda x: (
-            np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dc)
-            if dc.size
-            else np.zeros_like(np.asarray(x, dtype=float))
-        ),
-        growth_check_radius=8.0,
-        label="polynomial",
-    )
+    return Potential(tuple(coeffs), growth_check_radius=8.0)
+
+
+def quadratic() -> Potential:
+    """The canonical quadratic model V(x) = x^2/2 (semicircle equilibrium)."""
+    return replace(polynomial(SEMICIRCLE_V), growth_check_radius=4.0, label="quadratic")
+
+
+def quartic() -> Potential:
+    """V(x) = x^4/4."""
+    return replace(polynomial([0.0, 0.0, 0.0, 0.0, 0.25]), growth_check_radius=4.0, label="quartic")
+
+
+def double_well() -> Potential:
+    """V(x) = x^4/4 - x^2 (two symmetric wells)."""
+    return replace(polynomial([0.0, 0.0, -1.0, 0.0, 0.25]), growth_check_radius=6.0, label="double-well")
 
 
 def blend(a: Potential, b: Potential, t: float) -> Potential:
-    """Linear interpolation (1-t) a + t b, derivative blended exactly."""
+    """The polynomial (1-t) a + t b, blended coefficient by coefficient."""
+    size = max(len(a.coeffs), len(b.coeffs))
+    ca, cb = (np.pad(V.coeffs, (0, size - len(V.coeffs))) for V in (a, b))
     return Potential(
-        eval=lambda x: (1.0 - t) * a.eval(x) + t * b.eval(x),
-        deriv=lambda x: (1.0 - t) * a.deriv(x) + t * b.deriv(x),
+        tuple((1.0 - t) * ca + t * cb),
         growth_check_radius=max(a.growth_check_radius, b.growth_check_radius),
         label=f"blend({a.label},{b.label},{t:g})",
-        blend_of=(a, b, t),
     )
 
 
@@ -330,13 +326,14 @@ def log_potential(mu: EquilibriumMeasure, x):
 def zeta(mu: EquilibriumMeasure, V: Potential, c: float, x) -> np.ndarray:
     """Effective potential zeta = U + V/2 - c; zero on the support, >= 0 off it.
 
-    The semicircle paired with a V tagged "semicircle" uses the exact
-    zeta of x^2/2 shifted by SEMICIRCLE_C - c; any other pair sums U and V.
+    The semicircle paired with V = x^2/2 (coefficients SEMICIRCLE_V) uses
+    the exact zeta of x^2/2 shifted by SEMICIRCLE_C - c; any other pair
+    sums U and V.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if mu.closed_form == "semicircle" and V.closed_form == "semicircle":
+    if mu.closed_form == "semicircle" and V.coeffs == SEMICIRCLE_V:
         z = _semicircle_zeta(x) + (SEMICIRCLE_C - c)
     else:
         z = log_potential(mu, x) + V.eval(x) / 2.0 - c
@@ -403,15 +400,16 @@ def model_constants(mu: EquilibriumMeasure, V: Potential) -> ModelConstants:
     """Compute (c, F, alpha) for a measure-potential pair.
 
     A closed-form measure returns the exact constants of `equilibrium_for`
-    ((1/2, 3/4, 1/2) for the semicircle) and raises ValueError unless V
-    carries the same closed-form tag. Grid measures extract c as the
+    ((1/2, 3/4, 1/2) for the semicircle) and raises ValueError unless it
+    is the closed form of V's coefficients. Grid measures extract c as the
     median of U + V/2 over the interior 80 percent of the numerical
     support, which is robust to edge cells.
     """
     if mu.closed_form is not None:
-        if V.closed_form != mu.closed_form:
+        closed = equilibrium_for(V)
+        if closed is None or closed[0].closed_form != mu.closed_form:
             raise ValueError(f"the {mu.closed_form} measure is not the equilibrium of V = {V.label}")
-        return equilibrium_for(V)[1]
+        return closed[1]
     K = _log_kernel(mu.nodes)
     Vn = V.eval(mu.nodes)
     c = _robin_constant(K @ mu.weights + Vn / 2.0, mu.weights)
@@ -430,8 +428,9 @@ def _robin_constant(r: np.ndarray, w: np.ndarray) -> float:
 def equilibrium_for(V: Potential) -> tuple[EquilibriumMeasure, ModelConstants] | None:
     """The closed-form equilibrium measure of V and its constants (c, F,
     alpha), or None when V has no closed form (`solve_equilibrium` then
-    applies). Decided by V's `closed_form` tag alone: no solve, no cache."""
-    if V.closed_form == "semicircle":
+    applies). Decided by V's coefficients alone: x^2/2 (SEMICIRCLE_V) has
+    the semicircle; no solve, no cache."""
+    if V.coeffs == SEMICIRCLE_V:
         return semicircle_equilibrium(), ModelConstants(SEMICIRCLE_C, SEMICIRCLE_F, SEMICIRCLE_ALPHA)
     return None
 

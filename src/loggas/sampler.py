@@ -5,14 +5,15 @@ every config step in lockstep as one (rows, n) array, one row per chain:
 each step proposes one move per row, and one vectorised energy change,
 accept rule and move serve every row at once. Configs run together
 (`run_many`) share n and the step counts; each row keeps its config's
-beta, V and seed. V is evaluated once per step for each potential family
-(one V object, or blends of one pair). Each chain draws its proposals
-from its own RNG stream spawned from its config's seed (numpy
-SeedSequence.spawn), in chunks whose sizes do not depend on the row
-count, so runs are bit-reproducible and a chain's output is the same
-whatever chains or configs run beside it. A run owns one workspace and
-each chunk builds its flat site indices and scaled steps, so a step
-allocates no array of n entries. Every statistic, R-hat diagnostic
+beta, V and seed. V of every row is one Horner pass (`model.horner`)
+over the columns of the run's coefficient matrix, one row of
+coefficients per chain, collapsed to one row when all chains share V.
+Each chain draws its proposals from its own RNG stream spawned from its
+config's seed (numpy SeedSequence.spawn), in chunks whose sizes do not
+depend on the row count, so runs are bit-reproducible and a chain's
+output is the same whatever chains or configs run beside it. A run owns
+one workspace and each chunk builds its flat site indices and scaled
+steps, so a step allocates no array of n entries. Every statistic, R-hat diagnostic
 included, is then computed from the array of retained samples and their
 energies in one pass (`_statistics`). Each chain's proposal
 scale adapts toward 30-50 percent acceptance during burn-in only; it is
@@ -25,13 +26,14 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fekete import minimize, quantile_start
 from .hamiltonian import Configuration, energy
-from .model import EquilibriumMeasure, Potential, equilibrium_for, zeta
+from .model import EquilibriumMeasure, Potential, equilibrium_for, horner, zeta
 
 __all__ = ["SamplerConfig", "GasStatistics", "run", "run_many", "metropolis_accept"]
 
@@ -130,11 +132,11 @@ def _delta_energy(pts: np.ndarray, at: np.ndarray, z: np.ndarray, d: np.ndarray,
     """Change of w_n when row c of `pts` moves its point at flat index at[c] from z[1, c] to z[0, c].
 
     at[rows + c] = at[c] + rows n is that site in d[1] of the (2, rows, n)
-    workspace `d`. `V` maps z.ravel() to V of each row at its two entries:
-    a `Potential` when every row shares it, else `_row_potential`. O(n) per
-    row by differencing. A proposal onto an existing point makes a log 0 =
-    -inf term (the caller ignores the divide error), so its change is +inf
-    and it is never accepted.
+    workspace `d`. `V` maps z.ravel() to V of each row at its two entries,
+    as a `Potential` or `horner` on the run's tiled coefficient columns do.
+    O(n) per row by differencing. A proposal onto an existing point makes a
+    log 0 = -inf term (the caller ignores the divide error), so its change
+    is +inf and it is never accepted.
     """
     m, n = pts.shape
     # distances of every point to the new (d[0]) and old (d[1]) position;
@@ -146,36 +148,17 @@ def _delta_energy(pts: np.ndarray, at: np.ndarray, z: np.ndarray, d: np.ndarray,
     return -2.0 * (logs[0] - logs[1]) + n * (v[:m] - v[m:])
 
 
-def _row_potential(Vs: Sequence[Potential]) -> Callable[[np.ndarray], np.ndarray]:
-    """The map z -> V of row r at z[r] and z[m + r] (m = len(Vs)), with one
-    evaluation per family: rows sharing one V object take one `V.eval`, and
-    rows that blend one pair (a, b) take blend's own expression with t as a
-    column, in its order, so the rounding matches `blend`."""
-    m = len(Vs)
-    families: dict = {}
+def _tiled_columns(Vs: Sequence[Potential]) -> list:
+    """`horner` columns of the (rows, degree + 1) coefficient matrix of the
+    rows' potentials, tiled for z = (xp, xi) as two copies of the rows; a
+    matrix whose rows are all equal collapses to its first row, as floats
+    that broadcast (a float multiplies faster than a numpy scalar). An
+    all-zero column is None."""
+    C = np.zeros((len(Vs), max(len(V.coeffs) for V in Vs)))
     for r, V in enumerate(Vs):
-        key = (id(V.blend_of[0]), id(V.blend_of[1])) if V.blend_of else id(V)
-        families.setdefault(key, []).append(r)
-    parts = []
-    for rows in families.values():
-        entries = np.concatenate([rows, np.add(rows, m)])
-        V = Vs[rows[0]]
-        if V.blend_of:
-            a, b, _ = V.blend_of
-            t = np.array([Vs[r].blend_of[2] for r in rows] * 2)
-            parts.append((entries, lambda z, a=a, b=b, t=t: (1.0 - t) * a.eval(z) + t * b.eval(z)))
-        else:
-            parts.append((entries, V.eval))
-    if len(parts) == 1:  # its entries are all of z, in order
-        return parts[0][1]
-
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        v = np.empty_like(z)
-        for entries, f in parts:
-            v[entries] = f(z[entries])
-        return v
-
-    return evaluate
+        C[r, :len(V.coeffs)] = V.coeffs
+    columns = np.concatenate([C, C]).T.copy() if np.any(C != C[0]) else C[0].tolist()
+    return [col if np.any(col) else None for col in columns]
 
 
 def _initial_config(cfg: SamplerConfig, chain_idx: int, rng: np.random.Generator,
@@ -202,7 +185,9 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
 
     One workspace per run (z = (xp, xi), the distances d, each row's flat
     offset in d[0] then d[1]); per chunk, the flat site indices and the
-    steps scale * moves, redone after each burn-in adaptation.
+    steps scale * moves, redone after each burn-in adaptation; and the
+    `_tiled_columns` of the rows' coefficients, over which one `horner`
+    pass gives V of every row at z.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -227,7 +212,7 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     # a beta that every row shares stays a scalar: that spares an array op per step
     beta = betas[0] if len(set(betas)) == 1 else np.repeat(betas, chains)
     scale = np.repeat([cfg.initial_step_scale for cfg in cfgs], chains)
-    V_rows = _row_potential(Vs)
+    V_rows = partial(horner, _tiled_columns(Vs))
     window_acc = np.zeros(rows, dtype=np.int64)
     accepted = np.zeros(rows, dtype=np.int64)
     drift = np.zeros(rows)

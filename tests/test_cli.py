@@ -133,6 +133,21 @@ def test_partition_polynomial_half_x_squared_is_exact(capsys):
     assert rep["log_z"] == mehta_log_z(2, 2.0)
 
 
+def test_sample_rejects_a_v_that_does_not_confine(capsys):
+    # V = 1 - 2x grows linearly: the chains would run off to -infinity
+    assert dispatch(["sample", "--n", "4", "--beta", "2", "--coeffs", "1,-2", "--steps", "200", "--chains", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "does not confine" in captured.err
+
+
+def test_fekete_rejects_non_finite_coefficients(capsys):
+    assert dispatch(["fekete", "--n", "4", "--coeffs", "0,0,nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "finite" in captured.err
+
+
 def test_partition_sweep_csv(capsys):
     assert dispatch(["partition-sweep", "--n", "4,8", "--beta", "1,2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -103,13 +103,16 @@ def test_model_constants_quadratic():
     assert consts.c == pytest.approx(consts.mean_field_energy - 0.5 * moment, abs=1e-6)
 
 
-def test_equilibrium_for_reads_the_tag_not_the_label():
+def test_equilibrium_for_reads_the_coefficients_not_the_label():
     mu, consts = equilibrium_for(V2)
     assert mu.closed_form == "semicircle"
     assert (consts.c, consts.mean_field_energy, consts.alpha) == (0.5, 0.75, 0.5)
     assert equilibrium_for(dataclasses.replace(V2, label="renamed")) is not None
     assert equilibrium_for(dataclasses.replace(quartic(), label="quadratic")) is None
-    for V in (quartic(), double_well(), blend(V2, quartic(), 0.0), polynomial([0.0, 0.0, 1.0])):
+    # blending in none of the quartic leaves exactly x^2/2
+    assert blend(V2, quartic(), 0.0).coeffs == (0.0, 0.0, 0.5)
+    assert equilibrium_for(blend(V2, quartic(), 0.0)) is not None
+    for V in (quartic(), double_well(), blend(V2, quartic(), 1e-3), polynomial([0.0, 0.0, 1.0])):
         assert equilibrium_for(V) is None, V.label
 
 
@@ -117,13 +120,17 @@ def test_polynomial_half_x_squared_is_quadratic():
     xs = np.linspace(-5.0, 5.0, 1001)
     for coeffs in ([0.0, 0.0, 0.5], [0, 0, 0.5, 0, 0]):
         p = polynomial(coeffs)
-        assert p.closed_form == "semicircle"
+        assert p.coeffs == V2.coeffs == (0.0, 0.0, 0.5)
+        assert equilibrium_for(p)[0].closed_form == "semicircle"
         assert np.array_equal(p.eval(xs), V2.eval(xs))
         assert np.array_equal(p.deriv(xs), V2.deriv(xs))
-    assert polynomial([0.0, 0.0, 0.5, 1e-3]).closed_form is None
+    # x^2/2 by Horner is (0.5 x) x, the bits of 0.5 x^2; V' = 1 x is x
+    assert np.array_equal(V2.eval(xs), 0.5 * xs**2)
+    assert np.array_equal(V2.deriv(xs), xs)
+    assert equilibrium_for(polynomial([0.0, 0.0, 0.5, 0.0, 1e-3])) is None
 
 
-def test_semicircle_needs_a_tagged_potential():
+def test_semicircle_needs_half_x_squared():
     for V in (quartic(), polynomial([0.0, 0.0, 1.0])):
         with pytest.raises(ValueError):
             model_constants(MU, V)
@@ -168,9 +175,20 @@ def test_potentials():
     assert p.eval(3.0) == pytest.approx(4.5)
     assert set(BUILTIN_POTENTIALS) >= {"quadratic", "quartic", "double-well"}
     for name, make in BUILTIN_POTENTIALS.items():
-        assert make().confinement_ok(), name
-    # linear growth cannot beat the log
-    assert not polynomial([1.0, -2.0]).confinement_ok()
+        assert len(make().coeffs) % 2 == 1 and make().coeffs[-1] > 0.0, name
+    # trailing zeros are trimmed, and the label is not compared
+    assert polynomial([1.0, 0.0, 2.0, 0.0, -0.0]).coeffs == (1.0, 0.0, 2.0)
+    assert polynomial([0.0, 0.0, 0.5]) == dataclasses.replace(V2, growth_check_radius=8.0, label="x")
+    # linear growth cannot beat the log; an odd degree, a negative leading
+    # coefficient or a constant does not confine either
+    for coeffs in ([1.0, -2.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -0.5], [3.0], [], [0.0, 0.0, 0.5, 0.0, 0.0, 0.0, -1e-9]):
+        with pytest.raises(ValueError, match="does not confine"):
+            polynomial(coeffs)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            polynomial([0.0, 0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            polynomial([bad, 0.0, 0.5])
 
 
 def test_blend_endpoints():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loggas import DegenerateConfigError, PeriodicConfig, lattice, lattice_min, periodic_w, rescale_w
 
@@ -42,14 +42,42 @@ def test_invalid_config_rejected():
         PeriodicConfig(0, np.array([]))
 
 
+def shift_rounding(cfg, t):
+    """Bound on the change of W made by rounding x + t in a shift by t.
+
+    Each point moves by at most ulp(N + t)/2, and |dW/da_k| is at most
+    sum_j 2 pi/(N d_kj), d the circle distance (|cot u| <= 1/u on
+    (0, pi/2]); the factor 2 over that covers the second order.
+    """
+    N, x = cfg.period, cfg.points
+    d = np.abs(x[:, None] - x[None, :])
+    d = np.minimum(d, N - d)[~np.eye(N, dtype=bool)]
+    return math.ulp(N + t) * float(np.sum(2.0 * math.pi / (N * d)))
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 24), st.floats(0.0, 50.0), st.integers(0, 10_000))
+# two points 3.7e-4 apart: the shift's own rounding moves W by 1.3e-11
+@example(N=3, t=31.0, seed=86)
 def test_translation_invariance(N, t, seed):
     rng = np.random.default_rng(seed)
     cfg = random_config(rng, N)
     w0 = periodic_w(cfg)
     shifted = np.sort((cfg.points + t) % N)
-    assert periodic_w(PeriodicConfig(N, shifted)) == pytest.approx(w0, abs=1e-12 * max(1.0, abs(w0)))
+    bound = 1e-12 * max(1.0, abs(w0)) + shift_rounding(cfg, t)
+    assert periodic_w(PeriodicConfig(N, shifted)) == pytest.approx(w0, abs=bound)
+
+
+def test_translation_bound_sees_a_point_moved_by_1e_9():
+    N, t = 3, 31.0
+    cfg = random_config(np.random.default_rng(86), N)
+    w0 = periodic_w(cfg)
+    bound = 1e-12 * max(1.0, abs(w0)) + shift_rounding(cfg, t)
+    shifted = np.sort((cfg.points + t) % N)
+    for k in range(N):
+        moved = shifted.copy()
+        moved[k] += 1e-9
+        assert abs(periodic_w(PeriodicConfig(N, moved)) - w0) > bound
 
 
 @settings(deadline=None, max_examples=30)

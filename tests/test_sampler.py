@@ -11,6 +11,7 @@ from loggas import (
     GasStatistics,
     SamplerConfig,
     blend,
+    double_well,
     metropolis_accept,
     minimize,
     polynomial,
@@ -20,7 +21,8 @@ from loggas import (
     run_many,
 )
 from loggas.hamiltonian import Configuration, energy
-from loggas.sampler import AUDIT_RTOL, _delta_energy
+from loggas.model import horner
+from loggas.sampler import AUDIT_RTOL, _delta_energy, _tiled_columns
 
 V2 = quadratic()
 
@@ -202,6 +204,37 @@ def test_configs_do_not_depend_on_ladder():
         assert np.all((stats.cache_drift >= 0.0) & (stats.cache_drift <= AUDIT_RTOL))
 
 
+_LADDER_ROWS = st.one_of(
+    st.sampled_from([V2, quartic(), double_well()]),
+    st.tuples(st.sampled_from([V2, double_well()]), st.sampled_from([quartic(), double_well()]),
+              st.floats(0.0, 1.0)),
+    st.builds(lambda low, top: polynomial([*low, top]),
+              st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(0.01, 2.0)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_LADDER_ROWS, min_size=1, max_size=6), st.data())
+def test_tiled_coefficients_give_each_rows_own_v(rows, data):
+    # a (a, b, t) row is blend(a, b, t), whose coefficients are the blended ones
+    Vs = []
+    for row in rows:
+        if isinstance(row, tuple):
+            a, b, t = row
+            ca, cb = (np.pad(V.coeffs, (0, 5 - len(V.coeffs))) for V in (a, b))
+            row = blend(a, b, t)
+            assert row.coeffs == tuple(np.trim_zeros((1.0 - t) * ca + t * cb, "b").tolist())
+        Vs.append(row)
+    # z = (xp, xi) of every row, as the lockstep step lays it out; padding a
+    # row with zeros and adding another row's coefficient column that is
+    # zero in this row leave its Horner pass exact (up to the sign of zero)
+    m = len(Vs)
+    z = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * m, max_size=2 * m))).reshape(2, m)
+    v = horner(_tiled_columns(Vs), z.ravel())
+    for r, V in enumerate(Vs):
+        assert np.array_equal(v[[r, m + r]], V.eval(z[:, r])), V.label
+
+
 def _digest(stats: GasStatistics) -> str:
     h = hashlib.sha256()
     for a in (stats.samples, stats.step_scales, stats.cache_drift):
@@ -217,16 +250,17 @@ def test_kernel_output_pinned():
     Q = quartic()
     base = SamplerConfig(n=8, beta=2.0, V=V2, steps=10_000, burn_in=1_000, thinning=10, chains=2, seed=4)
     assert _digest(run(base)) == "8d231d9dc38a66fda7f886a882b442ef2df311c87263d44d4b2f3e749f4e5bf5"
-    # two families in one lockstep array: a blend pair and a plain quadratic
+    # one coefficient matrix: a quadratic row, padded with zeros, between
+    # two quartic blends
     ladder = [
         base.replaced(V=blend(V2, Q, 0.25), chains=1, seed=11),
         base.replaced(beta=5.0, V=quadratic(), seed=7),
         base.replaced(beta=1.0, V=blend(V2, Q, 0.8), chains=1, seed=5),
     ]
     assert [_digest(s) for s in run_many(ladder)] == [
-        "43ac885ec3dbc6ee430d9bfe01db8745612244c7d4f7c239e1cf1649599386d3",
+        "a94afe59f980be4e88eefce279b6b4972687d09dbfcde53054479df6da561d69",
         "37b6a701819aaefb33409c2d3b78eb5bd9087c20ae679e54220ac4cc6b503428",
-        "f8f6ec1b872c1855455adf81db7d428bf56fa717d931ebca995d515aa3b81de3",
+        "651acd2f5f756095aaed2009cf116f4e56b390d8cec063b90ff915bbeec8fbec",
     ]
 
 
