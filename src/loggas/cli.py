@@ -77,10 +77,26 @@ def _write_manifest(out: Path | None, command: str, args, seed) -> None:
 # subcommands
 
 
+#: times `_solve_equilibrium` doubles a bracket that the support overflows
+BRACKET_DOUBLINGS = 3
+
+
 def _solve_equilibrium(V: model_mod.Potential, n_nodes: int = 2000, tol: float = 1e-3):
-    """Equilibrium measure of V on [-R, R], R its growth-check radius, and its constants."""
+    """Equilibrium measure of V on [-R, R] and its constants.
+
+    R starts at V's growth-check radius. While mass piles up on the grid
+    ends (BracketError), R doubles, at most BRACKET_DOUBLINGS times, with
+    the same node count; the last BracketError propagates.
+    """
     R = V.growth_check_radius
-    mu = model_mod.solve_equilibrium(V, np.linspace(-R, R, n_nodes), tol=tol)
+    for doublings in range(BRACKET_DOUBLINGS + 1):
+        try:
+            mu = model_mod.solve_equilibrium(V, np.linspace(-R, R, n_nodes), tol=tol)
+            break
+        except BracketError:
+            if doublings == BRACKET_DOUBLINGS:
+                raise
+            R *= 2.0
     return mu, model_mod.model_constants(mu, V)
 
 

@@ -180,13 +180,17 @@ class EquilibriumMeasure:
 
     Either a tagged closed form (`closed_form == "semicircle"`) or a
     discrete measure of point masses `weights` at `nodes` (atoms standing
-    for cells of the solver grid).
+    for cells of the solver grid). A measure from `solve_equilibrium`
+    also records the solver's `iterations` and its final optimality
+    `residual`; both are None for a closed form.
     """
 
     support: tuple[tuple[float, float], ...]
     nodes: np.ndarray | None
     weights: np.ndarray | None
     closed_form: str | None
+    iterations: int | None = None
+    residual: float | None = None
 
     def density(self, x) -> np.ndarray:
         """Density m0(x); for grid measures, weight over cell width."""
@@ -224,11 +228,15 @@ class EquilibriumMeasure:
         return np.interp(q, cum[1:], self.nodes)
 
 
-def _cell_widths(nodes: np.ndarray) -> np.ndarray:
+def _cell_edges(nodes: np.ndarray) -> np.ndarray:
+    """Edges e_0 < ... < e_M of the solver cells: the midpoints between
+    neighbouring nodes, and each end node mirrored across its one midpoint."""
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    lo = np.concatenate([[nodes[0] - (mids[0] - nodes[0])], mids])
-    hi = np.concatenate([mids, [nodes[-1] + (nodes[-1] - mids[-1])]])
-    return hi - lo
+    return np.concatenate([[nodes[0] - (mids[0] - nodes[0])], mids, [nodes[-1] + (nodes[-1] - mids[-1])]])
+
+
+def _cell_widths(nodes: np.ndarray) -> np.ndarray:
+    return np.diff(_cell_edges(nodes))
 
 
 # math.asin elementwise: numpy's SIMD arcsin differs from it in the last bit
@@ -435,28 +443,41 @@ def equilibrium_for(V: Potential) -> tuple[EquilibriumMeasure, ModelConstants] |
     return None
 
 
-def _f2(t: np.ndarray) -> np.ndarray:
-    """Second antiderivative of log|t| vanishing to second order at 0."""
-    a = np.abs(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = t * t * (2.0 * np.log(a) - 3.0) / 4.0
-    return np.where(a == 0.0, 0.0, out)
-
-
 def _log_kernel(nodes: np.ndarray) -> np.ndarray:
     """K_ij = -(1/(h_i h_j)) iint_{cell_i x cell_j} log|x - y| dx dy.
 
-    Exact for the piecewise-constant cell measure, diagonal included, so
-    the quadratic form w K w converges at second order instead of first.
+    Exact for the piecewise-constant measure on the cells between the
+    edges e of `_cell_edges`, diagonal included, so the quadratic form
+    w K w converges at second order instead of first. With f2(t) =
+    t^2 (2 log|t| - 3)/4, the second antiderivative of log|t|, the double
+    integral is the mixed second difference of G_kl = f2(e_k - e_l):
+
+        K_ij = -(G[i+1,j] + G[i,j+1] - G[i+1,j+1] - G[i,j]) / (h_i h_j),
+
+    so one log pass over the (M+1)^2 edge differences builds all of K. G
+    is symmetric bit for bit and K is divided by the outer product h h^T,
+    so K equals K.T exactly.
     """
-    h = _cell_widths(nodes)
-    lo = nodes - 0.5 * h
-    hi = nodes + 0.5 * h
-    ii = _f2(hi[:, None] - lo[None, :])
-    ii += _f2(lo[:, None] - hi[None, :])
-    ii -= _f2(hi[:, None] - hi[None, :])
-    ii -= _f2(lo[:, None] - lo[None, :])
-    return -ii / (h[:, None] * h[None, :])
+    e = _cell_edges(nodes)
+    h = np.diff(e)
+    # in place, and each square buffer is freed before the next one is
+    # made, so no more than two are alive at once
+    G = np.subtract.outer(e, e)
+    half_sq = G * G
+    half_sq *= 0.5
+    np.abs(G, out=G)
+    # 0 log 0 = 0: log 1 on the diagonal, then times t^2 = 0
+    np.fill_diagonal(G, 1.0)
+    np.log(G, out=G)
+    G -= 1.5
+    G *= half_sq
+    del half_sq
+    K = np.add(G[1:, :-1], G[:-1, 1:])
+    K -= G[1:, 1:]
+    K -= G[:-1, :-1]
+    del G
+    K /= np.multiply.outer(-h, h)
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +502,12 @@ def solve_equilibrium(
     """Minimize the discretized mean-field energy over measures on `grid`.
 
     Projected gradient descent on the probability simplex with
-    Barzilai-Borwein step sizes. Convergence is declared when the
-    optimality residual max |U + V/2 - c| over the numerical support
-    drops below `tol`.
+    Barzilai-Borwein step sizes, on the log kernel of `_log_kernel` (the
+    exact cell-pair integrals, built once per solve). Convergence is
+    declared when the optimality residual max |U + V/2 - c| over the
+    numerical support drops below `tol`; it is checked every 25
+    iterations. The returned measure carries the iteration count and
+    that final residual.
 
     Raises
     ------
@@ -519,7 +543,8 @@ def solve_equilibrium(
         return float(np.max(np.abs(r[sup] - c))), c, sup
 
     res = np.inf
-    for it in range(max_iter):
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
         w_new = _project_simplex(w - step * g)
         g_new = 2.0 * (K @ w_new) + Vn
         s = w_new - w
@@ -531,7 +556,7 @@ def solve_equilibrium(
         else:
             step *= 1.5
         w, g = w_new, g_new
-        if it % 25 == 24 or it == max_iter - 1:
+        if iterations % 25 == 0 or iterations == max_iter:
             res, _, _ = residual_and_c(w)
             if res < tol:
                 break
@@ -555,6 +580,8 @@ def solve_equilibrium(
         nodes=nodes,
         weights=w,
         closed_form=None,
+        iterations=iterations,
+        residual=res,
     )
 
 
@@ -577,6 +604,8 @@ def measure_to_json(mu: EquilibriumMeasure, consts: ModelConstants | None = None
         "nodes": None if mu.nodes is None else [float(v) for v in mu.nodes],
         "weights": None if mu.weights is None else [float(v) for v in mu.weights],
         "closed_form": mu.closed_form,
+        "iterations": mu.iterations,
+        "residual": mu.residual,
         "constants": obj_consts,
     }
     return json.dumps(obj, indent=2)
@@ -589,6 +618,8 @@ def measure_from_json(text: str) -> tuple[EquilibriumMeasure, ModelConstants | N
         nodes=None if obj["nodes"] is None else np.asarray(obj["nodes"], dtype=float),
         weights=None if obj["weights"] is None else np.asarray(obj["weights"], dtype=float),
         closed_form=obj["closed_form"],
+        iterations=obj.get("iterations"),
+        residual=obj.get("residual"),
     )
     consts = None
     if obj.get("constants"):

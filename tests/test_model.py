@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 from hypothesis import given, settings, strategies as st
 
 from loggas import (
@@ -20,7 +22,16 @@ from loggas import (
     solve_equilibrium,
     zeta,
 )
-from loggas.model import EquilibriumMeasure, _semicircle_cdf, alpha, measure_from_json, measure_to_json
+from loggas.model import (
+    EquilibriumMeasure,
+    _cell_edges,
+    _cell_widths,
+    _log_kernel,
+    _semicircle_cdf,
+    alpha,
+    measure_from_json,
+    measure_to_json,
+)
 
 MU = semicircle_equilibrium()
 V2 = quadratic()
@@ -240,3 +251,102 @@ def test_measure_json_roundtrip():
     assert np.allclose(mu2.nodes, mu.nodes)
     assert np.allclose(mu2.weights, mu.weights)
     assert c2.alpha == pytest.approx(consts.alpha, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the log kernel of the solver grid
+
+NONUNIFORM_4 = np.array([-1.0, -0.2, 0.5, 2.0])
+
+
+def _nonuniform(m, seed=7):
+    return np.sort(np.random.default_rng(seed).uniform(-3.0, 3.0, m))
+
+
+def _f2(t):
+    """t^2 (2 log|t| - 3)/4, with 0 log 0 = 0."""
+    a = np.abs(t)
+    return t * t * (2.0 * np.log(np.where(a == 0.0, 1.0, a)) - 3.0) / 4.0
+
+
+def _four_term_kernel(nodes):
+    """The kernel as four f2 passes over M x M differences of cells centred on their nodes."""
+    h = _cell_widths(nodes)
+    lo, hi = nodes - 0.5 * h, nodes + 0.5 * h
+    ii = np.zeros((len(nodes), len(nodes)))
+    for sign, a, b in ((1.0, hi, lo), (1.0, lo, hi), (-1.0, hi, hi), (-1.0, lo, lo)):
+        ii += sign * _f2(a[:, None] - b[None, :])
+    return -ii / (h[:, None] * h[None, :])
+
+
+def test_cell_widths_are_the_edge_differences():
+    for nodes in (np.linspace(-4.0, 4.0, 1500), _nonuniform(400), NONUNIFORM_4):
+        e = _cell_edges(nodes)
+        assert len(e) == len(nodes) + 1 and np.all(np.diff(e) > 0)
+        # nodes sit in their cells, and the widths are the ones density, alpha and quantiles use
+        assert np.all((e[:-1] < nodes) & (nodes < e[1:]))
+        mids = 0.5 * (nodes[1:] + nodes[:-1])
+        lo = np.concatenate([[nodes[0] - (mids[0] - nodes[0])], mids])
+        hi = np.concatenate([mids, [nodes[-1] + (nodes[-1] - mids[-1])]])
+        assert np.array_equal(_cell_widths(nodes), hi - lo)
+
+
+@pytest.mark.parametrize(
+    "nodes", [np.linspace(-4.0, 4.0, 1500), _nonuniform(400), NONUNIFORM_4], ids=["linspace", "random", "four"]
+)
+def test_log_kernel_integrates_log_over_the_whole_interval(nodes):
+    # sum_ij h_i h_j K_ij = -iint_{[e_0, e_M]^2} log|x - y| = -L^2 (log L - 3/2)
+    e = _cell_edges(nodes)
+    h = np.diff(e)
+    L = e[-1] - e[0]
+    K = _log_kernel(nodes)
+    assert np.array_equal(K, K.T)
+    assert h @ K @ h == pytest.approx(-L * L * (math.log(L) - 1.5), rel=1e-12)
+
+
+def test_log_kernel_entries_match_dblquad():
+    e = _cell_edges(NONUNIFORM_4)
+    h = np.diff(e)
+    K = _log_kernel(NONUNIFORM_4)
+
+    def minus_log(y, x):
+        return -math.log(abs(x - y))
+
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                # split at y = x so that the log singularity sits on an end of the inner integral
+                pieces = ((e[i], lambda x: x), (lambda x: x, e[i + 1]))
+            else:
+                pieces = ((e[j], e[j + 1]),)
+            exact = sum(dblquad(minus_log, e[i], e[i + 1], lo, hi, epsabs=1e-13, epsrel=1e-13)[0] for lo, hi in pieces)
+            assert K[i, j] == pytest.approx(exact / (h[i] * h[j]), abs=1e-12), (i, j)
+
+
+def test_log_kernel_matches_the_four_term_formula_on_a_uniform_grid():
+    nodes = np.linspace(-4.0, 4.0, 1500)
+    e = _cell_edges(nodes)
+    h = np.diff(e)
+    K = _log_kernel(nodes)
+    ref = _four_term_kernel(nodes)
+    # each formula sums four f2 values of rounded edge differences; count
+    # every one of those eight as off by four roundings (difference, square,
+    # log, product), each of them at most eps max|f2|, before the division
+    f2_max = np.abs(_f2(np.subtract.outer(e, e))).max()
+    bound = 8 * 4 * np.finfo(float).eps * f2_max / np.multiply.outer(h, h)
+    assert np.all(np.abs(K - ref) <= bound)
+
+
+def test_solver_reports_iterations_and_residual():
+    mu = solve_equilibrium(quartic(), np.linspace(-3.0, 3.0, 400))
+    assert isinstance(mu.iterations, int) and mu.iterations % 25 == 0
+    assert 0.0 <= mu.residual < 1e-3
+    assert MU.iterations is None and MU.residual is None
+    mu2, _ = measure_from_json(measure_to_json(mu))
+    assert (mu2.iterations, mu2.residual) == (mu.iterations, mu.residual)
+    # JSON written before these keys existed still loads
+    obj = json.loads(measure_to_json(mu))
+    del obj["iterations"], obj["residual"]
+    mu3, _ = measure_from_json(json.dumps(obj))
+    assert mu3.iterations is None and mu3.residual is None
+    assert np.array_equal(mu3.weights, mu.weights)
