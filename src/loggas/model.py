@@ -11,8 +11,10 @@ A potential is its ascending polynomial coefficients, and `horner` is the
 one evaluation of V and V' (the sampler runs it on a matrix of them).
 This module provides the quadratic closed form (semicircle), a simplex
 projected-gradient solver for general V, and the derived constants
-c, F(mu0), and alpha = int m0 log(2 pi m0). `equilibrium_for` is the one
-place that maps a potential to its closed form, by its coefficients.
+c, F(mu0), and alpha = int m0 log(2 pi m0). A solved measure is constant
+on each cell of `_cell_edges`, and every grid rule integrates those cells.
+`equilibrium_for` is the one place that maps a potential to its closed
+form, by its coefficients.
 """
 
 from __future__ import annotations
@@ -178,11 +180,13 @@ BUILTIN_POTENTIALS: dict[str, Callable[[], Potential]] = {
 class EquilibriumMeasure:
     """A probability measure on a finite union of closed intervals.
 
-    Either a tagged closed form (`closed_form == "semicircle"`) or a
-    discrete measure of point masses `weights` at `nodes` (atoms standing
-    for cells of the solver grid). A measure from `solve_equilibrium`
+    Either a tagged closed form (`closed_form == "semicircle"`) or a grid
+    measure: density weights[k] / (e_k+1 - e_k) on the cell [e_k, e_k+1]
+    of `_cell_edges(nodes)` and 0 outside [e_0, e_M], the one density its
+    methods and `log_potential` read. A measure from `solve_equilibrium`
     also records the solver's `iterations` and its final optimality
-    `residual`; both are None for a closed form.
+    `residual`; both are None for a closed form. Malformed fields raise
+    ValueError.
     """
 
     support: tuple[tuple[float, float], ...]
@@ -192,40 +196,57 @@ class EquilibriumMeasure:
     iterations: int | None = None
     residual: float | None = None
 
+    def __post_init__(self):
+        if self.closed_form not in (None, "semicircle"):
+            raise ValueError(f"unknown closed form {self.closed_form!r}; expected None or 'semicircle'")
+        if self.closed_form is not None:
+            if self.nodes is not None or self.weights is not None:
+                raise ValueError(f"the closed form {self.closed_form!r} carries no nodes or weights")
+            return
+        if self.nodes is None or self.weights is None:
+            raise ValueError("a grid measure needs nodes and weights")
+        x, w = np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
+        if x.ndim != 1 or len(x) < 2 or not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+            raise ValueError("grid nodes must be at least 2 finite, strictly increasing values")
+        if w.shape != x.shape or not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError("grid weights must be finite, non-negative and one per node")
+        if abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError(f"grid weights must sum to 1, got {w.sum()!r}")
+
     def density(self, x) -> np.ndarray:
-        """Density m0(x); for grid measures, weight over cell width."""
+        """Density m0(x); for grid measures, the weight over the width of the cell that holds x."""
         x = np.asarray(x, dtype=float)
         if self.closed_form == "semicircle":
             return np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2.0 * np.pi)
-        h = _cell_widths(self.nodes)
-        out = np.zeros_like(x)
-        idx = np.searchsorted(self.nodes, x)
-        idx = np.clip(idx, 0, len(self.nodes) - 1)
-        left = np.clip(idx - 1, 0, len(self.nodes) - 1)
-        pick = np.where(
-            np.abs(x - self.nodes[left]) < np.abs(x - self.nodes[idx]), left, idx
-        )
-        near = np.abs(x - self.nodes[pick]) <= h[pick]
-        out[near] = (self.weights[pick] / h[pick])[near]
-        return out
+        e = _cell_edges(self.nodes)
+        k = np.clip(np.searchsorted(e, x, side="right") - 1, 0, len(self.nodes) - 1)
+        return np.where((x >= e[0]) & (x <= e[-1]), self.weights[k] / np.diff(e)[k], 0.0)
+
+    def cdf(self, x):
+        """Mass left of x, elementwise."""
+        if self.closed_form == "semicircle":
+            return _semicircle_cdf(x)
+        return np.interp(x, _cell_edges(self.nodes), np.concatenate([[0.0], np.cumsum(self.weights)]))
 
     def interval_mass(self, lo: float, hi: float) -> float:
         """Mass of [lo, hi]."""
         if hi <= lo:
             return 0.0
-        if self.closed_form == "semicircle":
-            return float(_semicircle_cdf(hi) - _semicircle_cdf(lo))
-        inside = (self.nodes >= lo) & (self.nodes <= hi)
-        return float(self.weights[inside].sum())
+        return float(self.cdf(hi) - self.cdf(lo))
 
     def quantiles(self, n: int) -> np.ndarray:
-        """Midpoint quantiles x_i with mass ((i + 1/2)/n) to the left."""
+        """Midpoint quantiles x_i with mass ((i + 1/2)/n) to the left, by
+        60 bisections of `cdf` from [-2, 2] or from the grid's [e_0, e_M]."""
         q = (np.arange(n) + 0.5) / n
-        if self.closed_form == "semicircle":
-            return _semicircle_quantiles(q)
-        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        cum /= cum[-1]
-        return np.interp(q, cum[1:], self.nodes)
+        ends = (-2.0, 2.0) if self.closed_form == "semicircle" else _cell_edges(self.nodes)[[0, -1]]
+        lo = np.full_like(q, ends[0])
+        hi = np.full_like(q, ends[1])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lower = self.cdf(mid) < q
+            lo = np.where(lower, mid, lo)
+            hi = np.where(lower, hi, mid)
+        return 0.5 * (lo + hi)
 
 
 def _cell_edges(nodes: np.ndarray) -> np.ndarray:
@@ -233,10 +254,6 @@ def _cell_edges(nodes: np.ndarray) -> np.ndarray:
     neighbouring nodes, and each end node mirrored across its one midpoint."""
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     return np.concatenate([[nodes[0] - (mids[0] - nodes[0])], mids, [nodes[-1] + (nodes[-1] - mids[-1])]])
-
-
-def _cell_widths(nodes: np.ndarray) -> np.ndarray:
-    return np.diff(_cell_edges(nodes))
 
 
 # math.asin elementwise: numpy's SIMD arcsin differs from it in the last bit
@@ -250,17 +267,6 @@ def _semicircle_cdf(x):
     t = np.clip(x, -2.0, 2.0)
     arc = np.asarray(_asin(t / 2.0), dtype=float)
     return 0.5 + t * np.sqrt(4.0 - t * t) / (4.0 * math.pi) + arc / math.pi
-
-
-def _semicircle_quantiles(q: np.ndarray) -> np.ndarray:
-    lo = np.full_like(q, -2.0)
-    hi = np.full_like(q, 2.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lower = _semicircle_cdf(mid) < q
-        lo = np.where(lower, mid, lo)
-        hi = np.where(lower, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def semicircle_equilibrium() -> EquilibriumMeasure:
@@ -312,9 +318,10 @@ def _semicircle_zeta(x: np.ndarray) -> np.ndarray:
 def log_potential(mu: EquilibriumMeasure, x):
     """U(x) = -int log|x - y| dmu(y); scalar in, scalar out.
 
-    Closed-form semicircle uses the exact piecewise formula; grid measures
-    sum -w_i log|x - node_i| with the evaluation cell regularized by the
-    self-energy of a uniform blob of its width.
+    Closed-form semicircle uses the exact piecewise formula. A grid measure
+    integrates its cells exactly: with f1(t) = t (log|t| - 1), the first
+    antiderivative of log|t|, U(x) = -sum_k j_k f1(x - e_k), where j_k is
+    the jump of the density at the cell edge e_k.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -322,12 +329,16 @@ def log_potential(mu: EquilibriumMeasure, x):
     if mu.closed_form == "semicircle":
         u = _semicircle_log_potential(x)
     else:
-        d = np.abs(x[:, None] - mu.nodes[None, :])
-        h = _cell_widths(mu.nodes)[None, :]
-        # blob self-energy -log(h/e) replaces the divergent -log 0
-        near = d < 0.5 * h
-        terms = np.where(near, -np.log(h / math.e), -np.log(np.where(near, 1.0, d)))
-        u = terms @ mu.weights
+        e = _cell_edges(mu.nodes)
+        jumps = np.diff(mu.weights / np.diff(e), prepend=0.0, append=0.0)
+        t = np.subtract.outer(x, e)
+        f1 = np.abs(t)
+        # 0 log 0 = 0: log 1 where x sits on an edge, then times t = 0
+        f1[f1 == 0.0] = 1.0
+        np.log(f1, out=f1)
+        f1 -= 1.0
+        f1 *= t
+        u = -(f1 @ jumps)
     return float(u[0]) if scalar else u
 
 
@@ -364,7 +375,8 @@ def mean_field_energy(mu: EquilibriumMeasure, V: Potential) -> float:
 
     The semicircle path integrates U + V against mu (-iint log = int U
     dmu) with a fixed 256-node Gauss-Legendre rule in x = 2 sin t. Grid
-    measures use the quadratic form with blob-regularized diagonal.
+    measures use the quadratic form w K w + w V(nodes) on the exact cell
+    kernel K of `_log_kernel`.
     """
     if mu.closed_form == "semicircle":
         t, wts = _semicircle_rule()
@@ -387,7 +399,7 @@ def alpha(mu: EquilibriumMeasure) -> float:
     if mu.closed_form == "semicircle":
         t, wts = _semicircle_rule()
         return float(np.dot(wts, np.log(2.0 * np.cos(t))))
-    h = _cell_widths(mu.nodes)
+    h = np.diff(_cell_edges(mu.nodes))
     w = mu.weights
     pos = w > 0
     dens = w[pos] / h[pos]

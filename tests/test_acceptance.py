@@ -1,58 +1,23 @@
 """End-to-end acceptance battery.
 
-Each test delegates to the corresponding cross-check in loggas.verify,
-prints its one-line verdict, and asserts the verdict. Run with -s to see
-the lines as they complete; the same battery backs `loggas verify`.
+One test per check in `loggas.verify.ALL_CHECKS`, in that order and named
+after it: the check `verify.check_<name>` at position NN is the test
+`test_NN_<name>`. Each test runs its check with the full budget, prints
+the one-line verdict, and asserts the verdict. Run with -s to see the
+lines as they complete; the same battery backs `loggas verify`.
 """
 
 from loggas import verify
 
 
-def _check(fn, *args):
-    r = fn(*args)
-    print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail} ({r.seconds:.1f}s)")
-    assert r.passed, f"{r.name}: {r.detail}"
+def _acceptance_test(check):
+    def test():
+        r = check()
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail} ({r.seconds:.1f}s)")
+        assert r.passed, f"{r.name}: {r.detail}"
+
+    return test
 
 
-def test_01_lattice_value():
-    _check(verify.check_lattice_value)
-
-
-def test_02_lattice_optimality():
-    _check(verify.check_lattice_optimality)
-
-
-def test_03_quadrature_equivalence():
-    _check(verify.check_field_equivalence)
-
-
-def test_04_fekete_oracle():
-    _check(verify.check_fekete_oracle)
-
-
-def test_05_ground_state_next_order():
-    _check(verify.check_ground_state_limit)
-
-
-def test_06_partition_oracles():
-    _check(verify.check_partition_oracles)
-
-
-def test_07_next_order_bounds():
-    _check(verify.check_next_order_bounds)
-
-
-def test_08_gibbs_macroscopics():
-    _check(verify.check_gibbs_macroscopics)
-
-
-def test_09_crystallization_trend():
-    _check(verify.check_crystallization)
-
-
-def test_10_equilibrium_solver():
-    _check(verify.check_equilibrium_solver)
-
-
-def test_11_gradient_and_field_audits():
-    _check(verify.check_gradient_and_field)
+for _i, _check in enumerate(verify.ALL_CHECKS, 1):
+    globals()[f"test_{_i:02d}_{_check.__name__.removeprefix('check_')}"] = _acceptance_test(_check)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 from hypothesis import given, settings, strategies as st
 
 from loggas import (
@@ -25,7 +25,6 @@ from loggas import (
 from loggas.model import (
     EquilibriumMeasure,
     _cell_edges,
-    _cell_widths,
     _log_kernel,
     _semicircle_cdf,
     alpha,
@@ -271,7 +270,7 @@ def _f2(t):
 
 def _four_term_kernel(nodes):
     """The kernel as four f2 passes over M x M differences of cells centred on their nodes."""
-    h = _cell_widths(nodes)
+    h = np.diff(_cell_edges(nodes))
     lo, hi = nodes - 0.5 * h, nodes + 0.5 * h
     ii = np.zeros((len(nodes), len(nodes)))
     for sign, a, b in ((1.0, hi, lo), (1.0, lo, hi), (-1.0, hi, hi), (-1.0, lo, lo)):
@@ -288,7 +287,7 @@ def test_cell_widths_are_the_edge_differences():
         mids = 0.5 * (nodes[1:] + nodes[:-1])
         lo = np.concatenate([[nodes[0] - (mids[0] - nodes[0])], mids])
         hi = np.concatenate([mids, [nodes[-1] + (nodes[-1] - mids[-1])]])
-        assert np.array_equal(_cell_widths(nodes), hi - lo)
+        assert np.array_equal(np.diff(e), hi - lo)
 
 
 @pytest.mark.parametrize(
@@ -350,3 +349,120 @@ def test_solver_reports_iterations_and_residual():
     mu3, _ = measure_from_json(json.dumps(obj))
     assert mu3.iterations is None and mu3.residual is None
     assert np.array_equal(mu3.weights, mu.weights)
+
+
+# ---------------------------------------------------------------------------
+# the grid measure: one piecewise-constant density on the cells of _cell_edges
+
+
+def _random_measure(m=12, seed=3):
+    rng = np.random.default_rng(seed)
+    nodes = np.sort(rng.uniform(-1.0, 2.0, m))
+    w = rng.uniform(0.1, 1.0, m)
+    return EquilibriumMeasure(((nodes[0], nodes[-1]),), nodes, w / w.sum(), None)
+
+
+GRID_MEASURES = [uniform_measure(0.0, 2.0, 40), _random_measure()]
+GRID_IDS = ["uniform", "nonuniform"]
+
+
+def _cell_density(mu):
+    e = _cell_edges(mu.nodes)
+    return e, mu.weights / np.diff(e)
+
+
+def _exact_mass(mu, a, b):
+    e, d = _cell_density(mu)
+    return float(np.dot(d, np.clip(np.minimum(b, e[1:]) - np.maximum(a, e[:-1]), 0.0, None)))
+
+
+@pytest.mark.parametrize("mu", GRID_MEASURES, ids=GRID_IDS)
+def test_grid_density_is_zero_outside_the_cells_and_integrates_to_one(mu):
+    e, d = _cell_density(mu)
+    h0, hM = e[1] - e[0], e[-1] - e[-2]
+    outside = np.array([e[0] - 0.3 * h0, e[0] - 1e-9, e[-1] + 1e-9, e[-1] + 0.3 * hM, -50.0, 50.0])
+    assert np.all(mu.density(outside) == 0.0)
+    # each cell's interior reads that cell's density
+    inside = e[:-1] + np.array([0.1, 0.5, 0.9])[:, None] * np.diff(e)
+    assert np.array_equal(mu.density(inside), np.broadcast_to(d, inside.shape))
+    total = quad(mu.density, e[0] - 1.0, e[-1] + 1.0, points=e, limit=200, epsabs=1e-13)[0]
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", GRID_MEASURES, ids=GRID_IDS)
+def test_grid_interval_mass_counts_partial_cells(mu):
+    e = _cell_edges(mu.nodes)
+    h = np.diff(e)
+    # ends inside cells: across several cells, from below the grid, and within one cell
+    pairs = ((e[3] + 0.3 * h[3], e[9] + 0.7 * h[9]), (e[0] - 0.5, e[5] + 0.2 * h[5]), (e[4] + 0.1 * h[4], e[4] + 0.6 * h[4]))
+    for a, b in pairs:
+        assert mu.interval_mass(a, b) == pytest.approx(_exact_mass(mu, a, b), abs=1e-12), (a, b)
+    assert mu.interval_mass(e[0] - 1.0, e[-1] + 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", [*GRID_MEASURES, MU], ids=[*GRID_IDS, "semicircle"])
+def test_quantiles_invert_the_cdf(mu):
+    for n in (1, 4, 7, 100):
+        q = mu.quantiles(n)
+        assert np.all(np.diff(q) > 0)
+        assert np.allclose(mu.cdf(q), (np.arange(n) + 0.5) / n, rtol=0.0, atol=1e-12), n
+
+
+def _quad_log_potential(mu, x):
+    """-int log|x - y| dmu(y), one quad per cell, split at x inside its cell."""
+    e, d = _cell_density(mu)
+    total = 0.0
+    for k in range(len(d)):
+        ends = (e[k], x, e[k + 1]) if e[k] < x < e[k + 1] else (e[k], e[k + 1])
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            total -= d[k] * quad(lambda y: math.log(abs(x - y)), lo, hi, epsabs=1e-15, epsrel=1e-13)[0]
+    return total
+
+
+@pytest.mark.parametrize("mu", GRID_MEASURES, ids=GRID_IDS)
+def test_grid_log_potential_is_the_cell_integral(mu):
+    e = _cell_edges(mu.nodes)
+    xs = np.array([mu.nodes[7], e[5], e[0], e[-1] + 0.4, e[0] - 2.5])
+    exact = [_quad_log_potential(mu, x) for x in xs]
+    assert np.allclose(log_potential(mu, xs), exact, rtol=0.0, atol=1e-12)
+    assert log_potential(mu, xs[0]) == pytest.approx(exact[0], abs=1e-12)
+
+
+def test_zeta_of_the_solved_quadratic_meets_the_solver_residual():
+    mu = solve_equilibrium(V2, np.linspace(-3.0, 3.0, 2000))
+    c = model_constants(mu, V2).c
+    lo, hi = mu.support[0]
+    z = np.abs(zeta(mu, V2, c, np.linspace(lo, hi, 4001))).max()
+    assert z < 1e-3
+    # U at any point of the support misses c - V/2 by no more than the
+    # solver's cell averages of U did, up to a factor 2 of slack
+    assert z <= 2.0 * mu.residual
+
+
+def test_malformed_measures_raise():
+    grid = dict(support=((0.0, 1.0),), closed_form=None)
+    nodes, w = np.array([0.0, 0.5, 1.0]), np.full(3, 1.0 / 3.0)
+    bad = [
+        (dict(support=((-2.0, 2.0),), nodes=None, weights=None, closed_form="semicirc"), "unknown closed form"),
+        (dict(support=((-2.0, 2.0),), nodes=nodes, weights=w, closed_form="semicircle"), "carries no nodes"),
+        (dict(grid, nodes=None, weights=w), "needs nodes and weights"),
+        (dict(grid, nodes=nodes, weights=None), "needs nodes and weights"),
+        (dict(grid, nodes=np.array([0.5]), weights=np.array([1.0])), "at least 2"),
+        (dict(grid, nodes=np.array([0.0, 0.5, 0.4]), weights=w), "strictly increasing"),
+        (dict(grid, nodes=np.array([0.0, 0.5, 0.5]), weights=w), "strictly increasing"),
+        (dict(grid, nodes=np.array([0.0, 0.5, math.inf]), weights=w), "finite"),
+        (dict(grid, nodes=np.array([math.nan, 0.5, 1.0]), weights=w), "finite"),
+        (dict(grid, nodes=nodes, weights=np.array([0.5, 0.5])), "one per node"),
+        (dict(grid, nodes=nodes, weights=np.array([0.6, -0.1, 0.5])), "non-negative"),
+        (dict(grid, nodes=nodes, weights=np.array([0.5, math.nan, 0.5])), "finite"),
+        (dict(grid, nodes=nodes, weights=np.array([0.5, 0.3, 0.3])), "sum to 1"),
+    ]
+    for fields, message in bad:
+        with pytest.raises(ValueError, match=message):
+            EquilibriumMeasure(**fields)
+    EquilibriumMeasure(**dict(grid, nodes=nodes, weights=w + np.array([5e-10, 0.0, 0.0])))
+    # the same checks hold for a measure read back from JSON
+    good = json.loads(measure_to_json(EquilibriumMeasure(**dict(grid, nodes=nodes, weights=w))))
+    for key, value in (("nodes", [0.0, 0.5, 0.4]), ("closed_form", "semicirc")):
+        with pytest.raises(ValueError):
+            measure_from_json(json.dumps(dict(good, **{key: value})))
