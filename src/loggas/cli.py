@@ -1,4 +1,8 @@
-"""Command-line front door: subcommands, manifests, CSV/JSON emission.
+"""Command-line front door: each `_cmd_*` subcommand returns a `Result`
+(its files as {name: text}, manifest seed, stdout text and exit code),
+and `_emit` applies the one output rule. Without --out it prints the
+stdout text, or else the first file; with --out it writes every file and
+`manifest-<command>.json`, and still prints the stdout text.
 
 Numerical outputs are deterministic given the manifest (seeded RNG
 everywhere, shortest round-trip float formatting); timestamps live only
@@ -9,23 +13,33 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
-import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .errors import BracketError, ConvergenceError, DegenerateConfigError
 from . import fekete as fekete_mod
-from . import field as field_mod
 from . import model as model_mod
 from . import partition as partition_mod
 from . import renorm as renorm_mod
 from . import sampler as sampler_mod
 from . import verify as verify_mod
+
+
+class Result(NamedTuple):
+    """What a subcommand hands to `_emit`."""
+
+    files: dict[str, str]
+    seed: int | None = None
+    stdout: str | None = None
+    code: int = 0
 
 
 def _fmt(x) -> str:
@@ -35,42 +49,42 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv(header: list, rows: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def _resolve_potential(args) -> model_mod.Potential:
-    if getattr(args, "coeffs", None):
-        coeffs = [float(t) for t in args.coeffs.split(",")]
-        return model_mod.polynomial(coeffs)
-    name = getattr(args, "potential", "quadratic") or "quadratic"
-    if name not in model_mod.BUILTIN_POTENTIALS:
-        raise ValueError(
-            f"unknown potential {name!r}; choose from {sorted(model_mod.BUILTIN_POTENTIALS)}"
-        )
-    return model_mod.BUILTIN_POTENTIALS[name]()
+    if args.coeffs:
+        return model_mod.polynomial([float(t) for t in args.coeffs.split(",")])
+    return model_mod.BUILTIN_POTENTIALS[args.potential or "quadratic"]()
 
 
-def _out_dir(args) -> Path | None:
-    if getattr(args, "out", None):
-        p = Path(args.out)
-        p.mkdir(parents=True, exist_ok=True)
-        return p
-    return None
-
-
-def _write_manifest(out: Path | None, command: str, args, seed) -> None:
-    if out is None:
-        return
-    params = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "out") and v is not None
-    }
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "seed": seed,
-        "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    (out / f"manifest-{command}.json").write_text(json.dumps(manifest, indent=2) + "\n")
+def _emit(args, res: Result) -> int:
+    out = getattr(args, "out", None)
+    if out:
+        manifest = {
+            "command": args.command,
+            "parameters": {k: v for k, v in sorted(vars(args).items())
+                           if k not in ("func", "out") and v is not None},
+            "seed": res.seed,
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        Path(out).mkdir(parents=True, exist_ok=True)
+        for name, text in {**res.files, f"manifest-{args.command}.json": _json(manifest)}.items():
+            with (Path(out) / name).open("w", newline="") as fh:
+                fh.write(text)
+    if res.stdout is not None:
+        sys.stdout.write(res.stdout)
+    elif not out:
+        sys.stdout.write(next(iter(res.files.values())))
+    return res.code
 
 
 # ---------------------------------------------------------------------------
@@ -100,72 +114,39 @@ def _solve_equilibrium(V: model_mod.Potential, n_nodes: int = 2000, tol: float =
     return mu, model_mod.model_constants(mu, V)
 
 
-def _write_csv(out: Path | None, name: str, header: list, rows: list) -> None:
-    """Write a CSV file `name` under `out`, or to stdout when there is no --out."""
-    if out is None:
-        csv.writer(sys.stdout).writerows([header, *rows])
-        return
-    with (out / name).open("w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+def _cmd_equilibrium(args) -> Result:
+    mu, consts = _solve_equilibrium(_resolve_potential(args), args.n or 2000, args.tol or 1e-3)
+    return Result({"measure.json": model_mod.measure_to_json(mu, consts) + "\n"})
 
 
-def _cmd_equilibrium(args) -> int:
-    V = _resolve_potential(args)
-    mu, consts = _solve_equilibrium(V, args.n or 2000, args.tol or 1e-3)
-    text = model_mod.measure_to_json(mu, consts)
-    out = _out_dir(args)
-    if out:
-        (out / "measure.json").write_text(text + "\n")
-        _write_manifest(out, "equilibrium", args, None)
-    else:
-        print(text)
-    return 0
-
-
-def _cmd_fekete(args) -> int:
-    V = _resolve_potential(args)
-    res = fekete_mod.minimize(args.n, V, seed=args.seed or 0, tol=args.tol)
+def _cmd_fekete(args) -> Result:
+    res = fekete_mod.minimize(args.n, _resolve_potential(args), seed=args.seed or 0, tol=args.tol)
     payload = {
         "n": args.n,
         "points": [float(v) for v in res.config.points],
         "grad_norm": res.grad_norm,
         "iterations": res.iterations,
         "converged": res.converged,
-        "breakdown": None if res.breakdown is None else json.loads(res.breakdown.to_json()),
+        "breakdown": None if res.breakdown is None else asdict(res.breakdown),
     }
-    out = _out_dir(args)
-    if out:
-        (out / "fekete.json").write_text(json.dumps(payload, indent=2) + "\n")
-        _write_csv(out, "fekete.csv", ["index", "x"],
-                   [[i, _fmt(float(x))] for i, x in enumerate(res.config.points)])
-        _write_manifest(out, "fekete", args, args.seed or 0)
-    else:
-        print(json.dumps(payload, indent=2))
-    return 0
+    rows = [[i, _fmt(float(x))] for i, x in enumerate(res.config.points)]
+    return Result({"fekete.json": _json(payload), "fekete.csv": _csv(["index", "x"], rows)},
+                  seed=args.seed or 0)
 
 
-def _cmd_sample(args) -> int:
-    V = _resolve_potential(args)
-    cfg = sampler_mod.SamplerConfig(
-        n=args.n,
-        beta=args.beta,
-        V=V,
-        steps=args.steps or 100_000,
-        chains=args.chains or 4,
-        seed=args.seed or 0,
-    )
+def _cmd_sample(args) -> Result:
+    cfg = sampler_mod.SamplerConfig(n=args.n, beta=args.beta, V=_resolve_potential(args),
+                                    steps=args.steps or 100_000, chains=args.chains or 4, seed=args.seed or 0)
     stats = sampler_mod.run(cfg)
-    out = _out_dir(args)
     provenance = {
         "n": cfg.n,
         "beta": cfg.beta,
-        "potential": V.label,
+        "potential": cfg.V.label,
         "steps": cfg.steps,
         "burn_in": cfg.burn_in,
         "thinning": cfg.thinning,
         "chains": cfg.chains,
         "seed": cfg.seed,
-        "init": cfg.init,
         "step_scale": cfg.initial_step_scale,
     }
     summary = {
@@ -190,64 +171,35 @@ def _cmd_sample(args) -> int:
         if stats.spacing_samples.size
         else None,
     }
-    if out:
-        (out / "stats.json").write_text(json.dumps(summary, indent=2) + "\n")
-        header = "sample," + ",".join(f"x{i}" for i in range(cfg.n))
-        rows = [header]
-        for k, row in enumerate(stats.samples):
-            rows.append(str(k) + "," + ",".join(_fmt(v) for v in row))
-        (out / "samples.csv").write_text("\n".join(rows) + "\n")
-        _write_manifest(out, "sample", args, cfg.seed)
-    else:
-        print(json.dumps(summary, indent=2))
-    return 0
+    # "\n" line ends, not the csv module's "\r\n"
+    rows = ["sample," + ",".join(f"x{i}" for i in range(cfg.n))]
+    rows += [str(k) + "," + ",".join(_fmt(v) for v in row) for k, row in enumerate(stats.samples)]
+    return Result({"stats.json": _json(summary), "samples.csv": "\n".join(rows) + "\n"}, seed=cfg.seed)
 
 
-def _cmd_renorm(args) -> int:
+def _cmd_renorm(args) -> Result:
     if args.lattice:
         cfg = renorm_mod.lattice(args.N)
     else:
         data = json.load(sys.stdin)
         cfg = renorm_mod.PeriodicConfig(int(data["N"]), np.asarray(data["points"], dtype=float))
     w = renorm_mod.periodic_w(cfg)
-    print(f"{w:.12f}")
-    out = _out_dir(args)
-    if out:
-        (out / "renorm.json").write_text(
-            json.dumps({"N": cfg.period, "points": [float(v) for v in cfg.points], "w": w}, indent=2)
-            + "\n"
-        )
-        _write_manifest(out, "renorm", args, None)
-    return 0
+    payload = {"N": cfg.period, "points": [float(v) for v in cfg.points], "w": w}
+    return Result({"renorm.json": _json(payload)}, stdout=f"{w:.12f}\n")
 
 
-def _cmd_verify_field(args) -> int:
-    rows = []
+def _cmd_verify_field(args) -> Result:
     cases = verify_mod.field_cases(np.random.default_rng(args.seed or 0), 5 if args.n is None else args.n)
-    tol = args.tol or 0.01
-    worst = 0.0
-    eta, npu = 1e-3, 8
-    for name, cfg in cases:
-        w_exact = renorm_mod.periodic_w(cfg)
-        y_cut = float(max(cfg.period, 4.0))
-        w_quad = field_mod.w_quadrature(
-            field_mod.make_field(cfg), eta=eta, y_cut=y_cut, nodes_per_unit=npu
-        )
-        rel = abs(w_quad - w_exact) / abs(w_exact)
-        worst = max(worst, rel)
-        rows.append([name, cfg.period, _fmt(w_exact), _fmt(w_quad), _fmt(eta), _fmt(y_cut), _fmt(rel)])
-    out = _out_dir(args)
-    _write_csv(out, "verify_field.csv",
-               ["config_id", "N", "periodic_w", "w_quadrature", "eta", "y_cut", "rel_err"], rows)
-    if out:
-        _write_manifest(out, "verify-field", args, args.seed or 0)
-    return 0 if worst <= tol else 1
+    rows = verify_mod.field_errors(cases)
+    worst = max(row[-1] for row in rows)
+    header = ["config_id", "N", "periodic_w", "w_quadrature", "eta", "y_cut", "rel_err"]
+    text = _csv(header, [[_fmt(v) for v in row] for row in rows])
+    return Result({"verify_field.csv": text}, seed=args.seed or 0, code=0 if worst <= (args.tol or 0.01) else 1)
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> Result:
     V = _resolve_potential(args)
-    method = args.method or "exact-quadratic"
-    n, beta = args.n, args.beta
+    method, n, beta = args.method or "exact-quadratic", args.n, args.beta
     err = 0.0
     if method == "exact-quadratic":
         if model_mod.equilibrium_for(V) is None:
@@ -255,53 +207,69 @@ def _cmd_partition(args) -> int:
         log_z = partition_mod.mehta_log_z(n, beta)
     elif method == "quadrature":
         log_z = partition_mod.quadrature_log_z(n, beta, V)
-    elif method == "thermo":
-        log_z, err = partition_mod.thermo_log_z(n, beta, V)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        log_z, err = partition_mod.thermo_log_z(n, beta, V)
     _, consts = model_mod.equilibrium_for(V) or _solve_equilibrium(V)
     report = partition_mod.next_order_report(n, beta, consts, log_z, method=method, error_bar=err)
-    text = json.dumps(report.to_json_dict(), indent=2)
-    out = _out_dir(args)
-    if out:
-        (out / "partition.json").write_text(text + "\n")
-        _write_manifest(out, "partition", args, None)
-    else:
-        print(text)
-    return 0
+    return Result({"partition.json": _json(asdict(report))})
 
 
-def _cmd_partition_sweep(args) -> int:
-    ns = [int(t) for t in str(args.n).split(",")]
-    betas = [float(t) for t in str(args.beta).split(",")]
+def _cmd_partition_sweep(args) -> Result:
     _, consts = model_mod.equilibrium_for(model_mod.quadratic())
     rows = []
-    for n in ns:
-        for beta in betas:
-            log_z = partition_mod.mehta_log_z(n, beta)
-            rep = partition_mod.next_order_report(n, beta, consts, log_z)
+    for n in [int(t) for t in args.n.split(",")]:
+        for beta in [float(t) for t in args.beta.split(",")]:
+            rep = partition_mod.next_order_report(n, beta, consts, partition_mod.mehta_log_z(n, beta))
             rows.append([n, _fmt(beta), _fmt(rep.log_z), _fmt(rep.next_order), rep.method])
-    out = _out_dir(args)
-    _write_csv(out, "partition_sweep.csv", ["n", "beta", "log_z", "next_order", "method"], rows)
-    if out:
-        _write_manifest(out, "partition-sweep", args, None)
-    return 0
+    return Result({"partition_sweep.csv": _csv(["n", "beta", "log_z", "next_order", "method"], rows)})
 
 
-def _cmd_verify(args) -> int:
-    results = verify_mod.run_all(fast=bool(args.fast))
+def _cmd_verify(args) -> Result:
+    results = verify_mod.run_all(fast=args.fast)
     width = max(len(r.name) for r in results)
-    ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        ok &= r.passed
-        print(f"[{status}] {r.name:<{width}}  {r.detail}  ({r.seconds:.1f}s)")
-    print("all checks passed" if ok else "some checks FAILED")
-    return 0 if ok else 1
+    ok = all(r.passed for r in results)
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  {r.detail}  ({r.seconds:.1f}s)\n"
+             for r in results]
+    lines.append("all checks passed\n" if ok else "some checks FAILED\n")
+    return Result({}, stdout="".join(lines), code=0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+#: every flag's type, help and choices, declared once
+FLAGS = {
+    "n": dict(type=int, help="particle count / node count"),
+    "beta": dict(type=float, help="inverse temperature"),
+    "N": dict(type=int, help="periodic configuration size"),
+    "potential": dict(choices=sorted(model_mod.BUILTIN_POTENTIALS), help="built-in potential"),
+    "coeffs": dict(help="polynomial coefficients, ascending, comma separated"),
+    "seed": dict(type=int, help="master RNG seed"),
+    "steps": dict(type=int, help="post burn-in steps per chain"),
+    "chains": dict(type=int, help="independent chains"),
+    "tol": dict(type=float, help="tolerance"),
+    "method": dict(choices=("exact-quadratic", "quadrature", "thermo"),
+                   help="how to get log Z (default: exact-quadratic)"),
+    "out": dict(help="output directory (default: print to stdout)"),
+}
+
+#: (command, function, help, required flags, optional flags)
+COMMANDS = (
+    ("equilibrium", _cmd_equilibrium, "solve the equilibrium measure on a grid",
+     (), ("n", "potential", "coeffs", "tol", "out")),
+    ("fekete", _cmd_fekete, "minimize w_n; CSV of points plus JSON result",
+     ("n",), ("potential", "coeffs", "seed", "tol", "out")),
+    ("sample", _cmd_sample, "Metropolis sampling of the Gibbs law",
+     ("n", "beta"), ("potential", "coeffs", "seed", "steps", "chains", "out")),
+    ("renorm", _cmd_renorm, "renormalized energy of a periodic configuration", ("N",), ("out",)),
+    ("verify-field", _cmd_verify_field, "field quadrature vs closed form, CSV report",
+     (), ("n", "seed", "tol", "out")),
+    ("partition", _cmd_partition, "log partition function and next-order report",
+     ("n", "beta"), ("potential", "coeffs", "method", "out")),
+    ("partition-sweep", _cmd_partition_sweep, "next-order over an (n, beta) grid, CSV", (), ("out",)),
+    ("verify", _cmd_verify, "run the acceptance cross-check suite", (), ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,83 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"loggas {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, *flags):
-        if "n" in flags:
-            sp.add_argument("--n", type=int, help="particle count / node count")
-        if "beta" in flags:
-            sp.add_argument("--beta", type=float, help="inverse temperature")
-        if "N" in flags:
-            sp.add_argument("--N", type=int, help="periodic configuration size")
-        if "potential" in flags:
-            sp.add_argument("--potential", choices=sorted(model_mod.BUILTIN_POTENTIALS), help="built-in potential")
-            sp.add_argument("--coeffs", help="polynomial coefficients, ascending, comma separated")
-        if "seed" in flags:
-            sp.add_argument("--seed", type=int, help="master RNG seed")
-        if "steps" in flags:
-            sp.add_argument("--steps", type=int, help="post burn-in steps per chain")
-        if "chains" in flags:
-            sp.add_argument("--chains", type=int, help="independent chains")
-        if "tol" in flags:
-            sp.add_argument("--tol", type=float, help="tolerance")
-        if "out" in flags:
-            sp.add_argument("--out", help="output directory (default: print to stdout)")
-        if "threads" in flags:
-            sp.add_argument("--threads", type=int, help="ignored: chains run in lockstep in one thread")
-        if "method" in flags:
-            sp.add_argument("--method", help="method tag")
-
-    sp = sub.add_parser("equilibrium", help="solve the equilibrium measure on a grid")
-    common(sp, "n", "potential", "tol", "out")
-    sp.set_defaults(func=_cmd_equilibrium)
-
-    sp = sub.add_parser("fekete", help="minimize w_n; CSV of points plus JSON result")
-    common(sp, "n", "potential", "seed", "tol", "out")
-    sp.set_defaults(func=_cmd_fekete)
-    sp = sub.add_parser("sample", help="Metropolis sampling of the Gibbs law")
-    common(sp, "n", "beta", "potential", "seed", "steps", "chains", "out", "threads")
-    sp.set_defaults(func=_cmd_sample)
-
-    sp = sub.add_parser("renorm", help="renormalized energy of a periodic configuration")
-    common(sp, "N", "out")
-    sp.add_argument("--lattice", action="store_true", help="use the integer lattice")
-    sp.set_defaults(func=_cmd_renorm)
-
-    sp = sub.add_parser("verify-field", help="field quadrature vs closed form, CSV report")
-    common(sp, "n", "seed", "tol", "out")
-    sp.set_defaults(func=_cmd_verify_field)
-
-    sp = sub.add_parser("partition", help="log partition function and next-order report")
-    common(sp, "n", "beta", "potential", "method", "out")
-    sp.set_defaults(func=_cmd_partition)
-
-    sp = sub.add_parser("partition-sweep", help="next-order over an (n, beta) grid, CSV")
-    sp.add_argument("--n", required=True, help="comma-separated particle counts")
-    sp.add_argument("--beta", required=True, help="comma-separated inverse temperatures")
-    sp.add_argument("--out", help="output directory")
-    sp.set_defaults(func=_cmd_partition_sweep)
-
-    sp = sub.add_parser("verify", help="run the acceptance cross-check suite")
-    sp.add_argument("--fast", action="store_true", help="reduced sampling budgets")
-    sp.set_defaults(func=_cmd_verify)
+    parsers = {}
+    for name, func, help_, required, optional in COMMANDS:
+        sp = parsers[name] = sub.add_parser(name, help=help_)
+        for flag in required + optional:
+            sp.add_argument(f"--{flag}", required=flag in required, **FLAGS[flag])
+        sp.set_defaults(func=func)
+    parsers["renorm"].add_argument("--lattice", action="store_true", help="use the integer lattice")
+    parsers["partition-sweep"].add_argument("--n", required=True, help="comma-separated particle counts")
+    parsers["partition-sweep"].add_argument("--beta", required=True, help="comma-separated inverse temperatures")
+    parsers["verify"].add_argument("--fast", action="store_true", help="reduced sampling budgets")
     return p
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    required = {
-        "fekete": ("n",), "sample": ("n", "beta"), "renorm": ("N",),
-        "partition": ("n", "beta"),
-    }
-    for flag in required.get(args.command, ()):
-        if getattr(args, flag, None) is None:
-            parser.error(f"--{flag} is required for {args.command!r}")
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        res = args.func(args)
     except (ValueError, BracketError, ConvergenceError, DegenerateConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return _emit(args, res)
 
 
 def main() -> None:

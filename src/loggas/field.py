@@ -47,11 +47,10 @@ coordinates (log-radial Gauss-Legendre, where r^2 |E|^2 is smooth), and
 the cells outside the patches are refined geometrically, ratio 2, so
 that the cell size stays a fixed fraction of the distance to the
 nearest charge. A plain dyadic grading with one cell per level was
-measured to leave O(1) errors near the 1/r^2 region, which is why the
-subdivision count per level is a tunable `refine` parameter. Each kept
-cell uses a tensor 2x2 Gauss rule rather than its midpoint: same mesh,
-fourth-order local error, which buys roughly two digits at the default
-resolution.
+measured to leave O(1) errors near the 1/r^2 region, which is why each
+dyadic band is cut into REFINE cells. Each kept cell uses a tensor 2x2
+Gauss rule rather than its midpoint: same mesh, fourth-order local
+error, which buys roughly two digits at the default resolution.
 """
 
 from __future__ import annotations
@@ -67,6 +66,12 @@ from .renorm import PeriodicConfig
 __all__ = ["CylinderField", "make_field", "w_quadrature"]
 
 _GL24 = np.polynomial.legendre.leggauss(24)
+
+#: base mesh cells per unit length away from the charges
+NODES_PER_UNIT = 8
+#: cells per dyadic band near a charge; the midpoint error scales like
+#: REFINE^-2 against the 1/r^2 energy density
+REFINE = 12
 
 
 @dataclass(frozen=True)
@@ -114,12 +119,12 @@ def make_field(config: PeriodicConfig) -> CylinderField:
     return CylinderField(config=config, potential=potential, field=field)
 
 
-def _distance_ladder(s: float, levels: int, refine: int) -> np.ndarray:
-    """Break distances 0 .. s 2^levels with `refine` cells per dyadic band."""
-    out = [s * i / refine for i in range(refine + 1)]
+def _distance_ladder(s: float, levels: int) -> np.ndarray:
+    """Break distances 0 .. s 2^levels with REFINE cells per dyadic band."""
+    out = [s * i / REFINE for i in range(REFINE + 1)]
     for k in range(levels):
         base = s * 2**k
-        out.extend(base * (1.0 + i / refine) for i in range(1, refine + 1))
+        out.extend(base * (1.0 + i / REFINE) for i in range(1, REFINE + 1))
     return np.array(out)
 
 
@@ -133,13 +138,7 @@ def _density(field: CylinderField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return dens
 
 
-def w_quadrature(
-    field: CylinderField,
-    eta: float = 1e-3,
-    y_cut: float | None = None,
-    nodes_per_unit: int = 8,
-    refine: int = 12,
-) -> float:
+def w_quadrature(field: CylinderField, eta: float = 1e-3, y_cut: float | None = None) -> float:
     """Renormalized energy by quadrature of |E|^2 with the log eta counterterm.
 
     Parameters
@@ -150,11 +149,9 @@ def w_quadrature(
     y_cut : float, optional
         Height at which the exponential tail takes over; defaults to
         max(N, 4) and must be at least N.
-    nodes_per_unit : int
-        Base mesh resolution away from charges.
-    refine : int
-        Cells per dyadic band near charges; the midpoint error scales
-        like refine^-2 against the 1/r^2 energy density.
+
+    The mesh is NODES_PER_UNIT cells per unit away from the charges and
+    REFINE cells per dyadic band near them.
 
     Every patch edge p +- s and the height y = s are mesh lines, so each
     kept Gauss node lies at inf-distance >= s - 1e-12 from every charge
@@ -175,12 +172,12 @@ def w_quadrature(
     if eta >= 0.5 * min_gap:
         raise ValueError("eta too large: must be below half the minimal gap")
 
-    h0 = 1.0 / nodes_per_unit
+    h0 = 1.0 / NODES_PER_UNIT
     s = min(0.49 * min_gap, h0)
     levels = 0
     while s * 2**levels < 4.0 * h0 and s * 2**levels < 0.25 * N:
         levels += 1
-    ladder = _distance_ladder(s, levels, refine)
+    ladder = _distance_ladder(s, levels)
 
     xb = set(np.round(np.arange(0.0, N, h0) % N, 12))
     for p in pts:

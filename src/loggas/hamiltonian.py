@@ -9,7 +9,6 @@ f_hat = f_n - 2 sum_i zeta(x_i) <= f_n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,19 +57,6 @@ class EnergyBreakdown:
     f_n: float
     f_hat: float
     zeta_sum: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "w_n": self.w_n,
-                "leading": self.leading,
-                "log_term": self.log_term,
-                "f_n": self.f_n,
-                "f_hat": self.f_hat,
-                "zeta_sum": self.zeta_sum,
-            },
-            indent=2,
-        )
 
 
 def _pair_distances(pts: np.ndarray) -> np.ndarray:

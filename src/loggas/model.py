@@ -586,9 +586,11 @@ def solve_equilibrium(
             residual=res,
         )
 
+    # the outer edges of the end cells: the closed hull of the density
     idx = np.where(sup)[0]
+    e = _cell_edges(nodes)
     return EquilibriumMeasure(
-        support=((float(nodes[idx[0]]), float(nodes[idx[-1]])),),
+        support=((float(e[idx[0]]), float(e[idx[-1] + 1])),),
         nodes=nodes,
         weights=w,
         closed_form=None,

@@ -47,16 +47,6 @@ class PartitionReport:
     next_order: float
     error_bar: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "beta": self.beta,
-            "log_z": self.log_z,
-            "method": self.method,
-            "next_order": self.next_order,
-            "error_bar": self.error_bar,
-        }
-
 
 def mehta_log_z(n: int, beta: float) -> float:
     """Closed-form log Z for the quadratic model.

@@ -1,12 +1,13 @@
 """Acceptance cross-checks: every closed form against an independent route.
 
-Each check returns a CheckResult; `run_all` executes the full battery in
-order. The same functions back the `loggas verify` subcommand and the
+Each check returns a CheckResult, named after its function and timed by
+`_check`; `run_all` executes the full battery in order. The same functions back the `loggas verify` subcommand and the
 acceptance test suite, so each check has exactly one implementation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -32,10 +33,18 @@ class CheckResult:
     seconds: float
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    passed, detail = fn()
-    return passed, detail, time.perf_counter() - t0
+def _check(fn):
+    """Make `fn`, which returns (passed, detail), a timed check returning a
+    CheckResult named after it: check_lattice_value -> "lattice-value"."""
+    name = fn.__name__.removeprefix("check_").replace("_", "-")
+
+    @functools.wraps(fn)
+    def check(*args, **kwargs) -> CheckResult:
+        t0 = time.perf_counter()
+        passed, detail = fn(*args, **kwargs)
+        return CheckResult(name, passed, detail, time.perf_counter() - t0)
+
+    return check
 
 
 def random_periodic_points(rng, N: int, min_gap: float = 0.04) -> np.ndarray:
@@ -61,306 +70,281 @@ def field_cases(rng, k: int) -> list[tuple[str, renorm_mod.PeriodicConfig]]:
     return cases
 
 
+def field_errors(cases) -> list[tuple[str, int, float, float, float, float, float]]:
+    """(name, N, w, w_quad, eta, y_cut, rel) for each named configuration:
+    the closed form w = periodic_w against the field quadrature w_quad at
+    eta = 1e-3 and y_cut = max(N, 4), and their relative error."""
+    rows = []
+    for name, cfg in cases:
+        w = renorm_mod.periodic_w(cfg)
+        eta, y_cut = 1e-3, float(max(cfg.period, 4.0))
+        w_quad = field_mod.w_quadrature(field_mod.make_field(cfg), eta=eta, y_cut=y_cut)
+        rows.append((name, cfg.period, w, w_quad, eta, y_cut, abs(w_quad - w) / abs(w)))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
 
-def check_lattice_value() -> CheckResult:
-    def body():
-        worst = 0.0
-        for N in range(1, 65):
-            w = renorm_mod.periodic_w(renorm_mod.lattice(N))
-            worst = max(worst, abs(w - LATTICE_W))
-        return worst <= 1e-12, f"max |w_N - (-pi log 2pi)| = {worst:.2e} over N=1..64"
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("lattice-value", passed, detail, dt)
+@_check
+def check_lattice_value() -> tuple[bool, str]:
+    worst = 0.0
+    for N in range(1, 65):
+        w = renorm_mod.periodic_w(renorm_mod.lattice(N))
+        worst = max(worst, abs(w - LATTICE_W))
+    return worst <= 1e-12, f"max |w_N - (-pi log 2pi)| = {worst:.2e} over N=1..64"
 
 
-def check_lattice_optimality() -> CheckResult:
-    def body():
-        rng = np.random.default_rng(20240)
-        min_excess = math.inf
-        for _ in range(1000):
-            N = int(rng.integers(2, 65))
-            pts = random_periodic_points(rng, N, 1e-9 * N)
+@_check
+def check_lattice_optimality() -> tuple[bool, str]:
+    rng = np.random.default_rng(20240)
+    min_excess = math.inf
+    for _ in range(1000):
+        N = int(rng.integers(2, 65))
+        pts = random_periodic_points(rng, N, 1e-9 * N)
+        w = renorm_mod.periodic_w(renorm_mod.PeriodicConfig(N, pts))
+        min_excess = min(min_excess, w - LATTICE_W)
+    if min_excess < -1e-12:
+        return False, f"random config beat the lattice by {-min_excess:.2e}"
+    min_pert = math.inf
+    for N in (2, 8, 32):
+        base = np.arange(N, dtype=float)
+        for k in range(5):
+            v = rng.normal(size=N)
+            v -= v.mean()  # pure translations leave w unchanged
+            v *= 1e-2 / np.abs(v).max()
+            pts = np.sort((base + v) % N)
             w = renorm_mod.periodic_w(renorm_mod.PeriodicConfig(N, pts))
-            min_excess = min(min_excess, w - LATTICE_W)
-        if min_excess < -1e-12:
-            return False, f"random config beat the lattice by {-min_excess:.2e}"
-        min_pert = math.inf
-        for N in (2, 8, 32):
-            base = np.arange(N, dtype=float)
-            for k in range(5):
-                v = rng.normal(size=N)
-                v -= v.mean()  # pure translations leave w unchanged
-                v *= 1e-2 / np.abs(v).max()
-                pts = np.sort((base + v) % N)
-                w = renorm_mod.periodic_w(renorm_mod.PeriodicConfig(N, pts))
-                min_pert = min(min_pert, w - LATTICE_W)
-            single = base.copy()
-            single[0] += 1e-2
-            w = renorm_mod.periodic_w(renorm_mod.PeriodicConfig(N, single))
             min_pert = min(min_pert, w - LATTICE_W)
-        ok = min_pert > 0.0
-        return ok, (
-            f"1000 random configs all >= lattice - 1e-12 (min excess {min_excess:.2e}); "
-            f"1e-2 perturbations raise w by >= {min_pert:.2e}"
-        )
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("lattice-optimality", passed, detail, dt)
-
-
-def check_field_equivalence(fast: bool = False) -> CheckResult:
-    def body():
-        cases = field_cases(np.random.default_rng(1137), 5 if fast else 20)
-        worst = 0.0
-        for _, cfg in cases:
-            w_exact = renorm_mod.periodic_w(cfg)
-            w_quad = field_mod.w_quadrature(field_mod.make_field(cfg))
-            worst = max(worst, abs(w_quad - w_exact) / abs(w_exact))
-        return worst <= 0.01, f"max relative quadrature error {worst:.2%} over {len(cases)} configs"
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("field-equivalence", passed, detail, dt)
+        single = base.copy()
+        single[0] += 1e-2
+        w = renorm_mod.periodic_w(renorm_mod.PeriodicConfig(N, single))
+        min_pert = min(min_pert, w - LATTICE_W)
+    ok = min_pert > 0.0
+    return ok, (
+        f"1000 random configs all >= lattice - 1e-12 (min excess {min_excess:.2e}); "
+        f"1e-2 perturbations raise w by >= {min_pert:.2e}"
+    )
 
 
-def check_fekete_oracle() -> CheckResult:
-    def body():
-        V = model_mod.quadratic()
-        worst_gap = 0.0
-        worst_grad = 0.0
-        for n in [*range(2, 65), 128, 256, 512, 1024]:
-            oracle = fekete_mod.hermite_oracle(n)
-            g = gradient(oracle, V)
-            worst_grad = max(worst_grad, np.abs(g).max() / n)
-            res = fekete_mod.minimize(n, V, seed=3, multistart=1)
-            worst_gap = max(worst_gap, np.abs(res.config.points - oracle.points).max())
-        ok = worst_gap <= 1e-8 and worst_grad <= 1e-9
-        return ok, (
-            f"sup |minimizer - scaled Hermite roots| = {worst_gap:.2e} (tol 1e-8), "
-            f"grad/n at oracle = {worst_grad:.2e} (tol 1e-9), n=2..64,128,256,512,1024"
-        )
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("fekete-oracle", passed, detail, dt)
+@_check
+def check_field_equivalence(fast: bool = False) -> tuple[bool, str]:
+    rows = field_errors(field_cases(np.random.default_rng(1137), 5 if fast else 20))
+    worst = max(row[-1] for row in rows)
+    return worst <= 0.01, f"max relative quadrature error {worst:.2%} over {len(rows)} configs"
 
 
-def check_ground_state_limit() -> CheckResult:
+@_check
+def check_fekete_oracle() -> tuple[bool, str]:
+    V = model_mod.quadratic()
+    worst_gap = 0.0
+    worst_grad = 0.0
+    for n in [*range(2, 65), 128, 256, 512, 1024]:
+        oracle = fekete_mod.hermite_oracle(n)
+        g = gradient(oracle, V)
+        worst_grad = max(worst_grad, np.abs(g).max() / n)
+        res = fekete_mod.minimize(n, V, seed=3, multistart=1)
+        worst_gap = max(worst_gap, np.abs(res.config.points - oracle.points).max())
+    ok = worst_gap <= 1e-8 and worst_grad <= 1e-9
+    return ok, (
+        f"sup |minimizer - scaled Hermite roots| = {worst_gap:.2e} (tol 1e-8), "
+        f"grad/n at oracle = {worst_grad:.2e} (tol 1e-9), n=2..64,128,256,512,1024"
+    )
+
+
+@_check
+def check_ground_state_limit() -> tuple[bool, str]:
     """|f_n| at minimizers approaches alpha = 1/2 monotonically.
 
     The distance ||f_n| - 1/2| must decrease strictly along
     n in {16, 32, ..., 1024} and end below 0.15. The sign of f_n
     itself is pinned separately in the regression suite.
     """
+    V = model_mod.quadratic()
+    dists = []
+    vals = []
+    for n in (16, 32, 64, 128, 256, 512, 1024):
+        res = fekete_mod.minimize(n, V, seed=11, multistart=1)
+        f_n = res.breakdown.f_n
+        vals.append(f_n)
+        dists.append(abs(abs(f_n) - 0.5))
+    decreasing = all(b < a for a, b in zip(dists, dists[1:]))
+    ok = decreasing and dists[-1] < 0.15
+    return ok, (
+        f"f_n = {', '.join(f'{v:.6f}' for v in vals)}; "
+        f"||f_n|-1/2| = {', '.join(f'{d:.6f}' for d in dists)} strictly decreasing: {decreasing}"
+    )
 
-    def body():
-        V = model_mod.quadratic()
-        dists = []
-        vals = []
-        for n in (16, 32, 64, 128, 256, 512, 1024):
-            res = fekete_mod.minimize(n, V, seed=11, multistart=1)
-            f_n = res.breakdown.f_n
-            vals.append(f_n)
-            dists.append(abs(abs(f_n) - 0.5))
-        decreasing = all(b < a for a, b in zip(dists, dists[1:]))
-        ok = decreasing and dists[-1] < 0.15
-        return ok, (
-            f"f_n = {', '.join(f'{v:.6f}' for v in vals)}; "
-            f"||f_n|-1/2| = {', '.join(f'{d:.6f}' for d in dists)} strictly decreasing: {decreasing}"
+
+@_check
+def check_partition_oracles() -> tuple[bool, str]:
+    worst2 = 0.0
+    for beta in (0.5, 1.0, 2.0, 4.0):
+        m = partition_mod.mehta_log_z(2, beta)
+        q = partition_mod.quadrature_log_z(2, beta)
+        worst2 = max(worst2, abs(q - m) / abs(m))
+    worst3 = 0.0
+    for beta in (1.0, 2.0):
+        m = partition_mod.mehta_log_z(3, beta)
+        q = partition_mod.quadrature_log_z(3, beta)
+        worst3 = max(worst3, abs(q - m) / abs(m))
+    exact = abs(partition_mod.mehta_log_z(2, 2.0) - math.log(math.pi))
+    ok = worst2 <= 1e-6 and worst3 <= 1e-5 and exact <= 1e-10
+    return ok, (
+        f"n=2 rel err {worst2:.2e} (tol 1e-6), n=3 rel err {worst3:.2e} (tol 1e-5), "
+        f"|log Z(2,2) - log pi| = {exact:.2e}"
+    )
+
+
+@_check
+def check_next_order_bounds() -> tuple[bool, str]:
+    _, consts = model_mod.equilibrium_for(model_mod.quadratic())
+    worst = 0.0
+    for n in (8, 16, 32, 64, 128, 256, 512):
+        rep = partition_mod.next_order_report(n, 2.0, consts, partition_mod.mehta_log_z(n, 2.0))
+        worst = max(worst, abs(rep.next_order))
+    rep = partition_mod.next_order_report(256, 1e4, consts, partition_mod.mehta_log_z(256, 1e4))
+    gap = abs(abs(rep.next_order) - 0.25)
+    ok = worst <= 1.0 and gap <= 0.05
+    return ok, (
+        f"max |next_order| = {worst:.4f} at beta=2 (bound 1.0); "
+        f"|next_order| at n=256, beta=1e4 is {abs(rep.next_order):.4f} (target 0.25 +/- 0.05)"
+    )
+
+
+@_check
+def check_gibbs_macroscopics(fast: bool = False) -> tuple[bool, str]:
+    cfg = sampler_mod.SamplerConfig(
+        n=32, beta=2.0, V=model_mod.quadratic(),
+        steps=20_000 if fast else 100_000,
+        burn_in=4_000 if fast else 10_000,
+        thinning=50, chains=8, seed=71,
+        windows=((0.0, 32.0),),
+    )
+    stats = sampler_mod.run(cfg)
+    mu = model_mod.semicircle_equilibrium()
+    expected = 32.0 * mu.interval_mass(-1.0, 1.0)
+    means = stats.count_traces[(0.0, 32.0)].reshape(cfg.chains, -1).mean(axis=1)
+    mean = float(np.mean(means))
+    se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
+    ok = abs(mean - expected) <= 3.0 * se and stats.r_hat <= 1.1
+    return ok, (
+        f"count in [-1,1]: {mean:.4f} vs {expected:.4f} (3 sigma = {3 * se:.4f}); "
+        f"R_hat = {stats.r_hat:.4f} (<= 1.1)"
+    )
+
+
+@_check
+def check_crystallization(fast: bool = False) -> tuple[bool, str]:
+    betas = (1.0, 5.0, 20.0, 50.0)
+    seeds = (101, 202, 303, 404, 505)
+    V = model_mod.quadratic()
+    cfgs = [
+        sampler_mod.SamplerConfig(
+            n=32, beta=beta, V=V,
+            steps=10_000 if fast else 30_000,
+            burn_in=2_000 if fast else 5_000,
+            thinning=25, chains=2, seed=seed,
         )
+        for beta in betas
+        for seed in seeds
+    ]
+    variances = [float(np.var(stats.spacing_samples)) for stats in sampler_mod.run_many(cfgs)]
+    means = [float(np.mean(variances[i:i + len(seeds)])) for i in range(0, len(variances), len(seeds))]
+    decreasing = all(b < a for a, b in zip(means, means[1:]))
+    return decreasing, (
+        "mean spacing variance over 5 seeds at beta=1,5,20,50: "
+        + ", ".join(f"{v:.4f}" for v in means)
+        + f"; strictly decreasing: {decreasing}"
+    )
 
-    passed, detail, dt = _timed(body)
-    return CheckResult("ground-state-limit", passed, detail, dt)
+
+@_check
+def check_equilibrium_solver() -> tuple[bool, str]:
+    V = model_mod.quadratic()
+    grid = np.linspace(-3.0, 3.0, 2000)
+    mu = model_mod.solve_equilibrium(V, grid, tol=1e-3)
+    exact = model_mod.semicircle_equilibrium()
+    sup = float(np.abs(mu.density(grid) - exact.density(grid)).max())
+    # the solver's residual is on cell averages of U (its kernel K w);
+    # recompute it from the point values of U at the nodes of the
+    # numerical support, against the c that K w gives
+    c = model_mod.model_constants(mu, V).c
+    on = mu.weights > 1e-10
+    U = model_mod.log_potential(mu, grid[on])
+    resid = float(np.abs(U + 0.5 * V(grid[on]) - c).max())
+    ok = sup <= 2e-2 and resid <= 1e-3
+    return ok, f"sup density error {sup:.4f} (tol 0.02), equilibrium residual {resid:.2e} (tol 1e-3)"
 
 
-def check_partition_oracles() -> CheckResult:
-    def body():
-        worst2 = 0.0
-        for beta in (0.5, 1.0, 2.0, 4.0):
-            m = partition_mod.mehta_log_z(2, beta)
-            q = partition_mod.quadrature_log_z(2, beta)
-            worst2 = max(worst2, abs(q - m) / abs(m))
-        worst3 = 0.0
-        for beta in (1.0, 2.0):
-            m = partition_mod.mehta_log_z(3, beta)
-            q = partition_mod.quadrature_log_z(3, beta)
-            worst3 = max(worst3, abs(q - m) / abs(m))
-        exact = abs(partition_mod.mehta_log_z(2, 2.0) - math.log(math.pi))
-        ok = worst2 <= 1e-6 and worst3 <= 1e-5 and exact <= 1e-10
-        return ok, (
-            f"n=2 rel err {worst2:.2e} (tol 1e-6), n=3 rel err {worst3:.2e} (tol 1e-5), "
-            f"|log Z(2,2) - log pi| = {exact:.2e}"
+@_check
+def check_gradient_and_field() -> tuple[bool, str]:
+    rng = np.random.default_rng(99)
+    V_pool = [model_mod.quadratic(), model_mod.quartic(), model_mod.double_well()]
+    worst_fd = 0.0
+    for k in range(50):
+        n = int(rng.integers(3, 13))
+        for _ in range(200):
+            x = np.sort(rng.normal(0.0, 1.2, n))
+            if np.diff(x).min() > 0.02:
+                break
+        V = V_pool[k % 3]
+        cfg = Configuration(x)
+        g = gradient(cfg, V)
+        for i in rng.choice(n, size=3, replace=False):
+            h = 1e-5 * max(1.0, abs(x[i]))
+            xp, xm = x.copy(), x.copy()
+            xp[i] += h
+            xm[i] -= h
+            fd = (energy(Configuration(np.sort(xp)), V) - energy(Configuration(np.sort(xm)), V)) / (2 * h)
+            worst_fd = max(worst_fd, abs(fd - g[i]) / max(abs(g[i]), 1e-8))
+    if worst_fd > 1e-6:
+        return False, f"gradient FD relative error {worst_fd:.2e} > 1e-6"
+
+    worst_mirror = 0.0
+    worst_div = 0.0
+    decay_ok = True
+    for cfg in (
+        renorm_mod.lattice(4),
+        renorm_mod.PeriodicConfig(6, random_periodic_points(rng, 6)),
+        renorm_mod.PeriodicConfig(12, random_periodic_points(rng, 12)),
+    ):
+        f = field_mod.make_field(cfg)
+        N = cfg.period
+        xs = rng.uniform(0.0, N, 100)
+        ys = rng.uniform(0.2, 2.5, 100) * rng.choice([-1.0, 1.0], 100)
+        ex, ey = f.field(xs, ys)
+        mex, mey = f.field(xs, -ys)
+        scale = 1.0 + np.hypot(ex, ey)
+        worst_mirror = max(
+            worst_mirror,
+            float(np.max(np.abs(mex - ex) / scale)),
+            float(np.max(np.abs(mey + ey) / scale)),
         )
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("partition-oracles", passed, detail, dt)
-
-
-def check_next_order_bounds() -> CheckResult:
-    def body():
-        _, consts = model_mod.equilibrium_for(model_mod.quadratic())
-        worst = 0.0
-        for n in (8, 16, 32, 64, 128, 256, 512):
-            rep = partition_mod.next_order_report(n, 2.0, consts, partition_mod.mehta_log_z(n, 2.0))
-            worst = max(worst, abs(rep.next_order))
-        rep = partition_mod.next_order_report(256, 1e4, consts, partition_mod.mehta_log_z(256, 1e4))
-        gap = abs(abs(rep.next_order) - 0.25)
-        ok = worst <= 1.0 and gap <= 0.05
-        return ok, (
-            f"max |next_order| = {worst:.4f} at beta=2 (bound 1.0); "
-            f"|next_order| at n=256, beta=1e4 is {abs(rep.next_order):.4f} (target 0.25 +/- 0.05)"
+        h = 1e-5
+        dist = np.min(
+            np.abs((xs[:, None] - cfg.points[None, :] + N / 2) % N - N / 2), axis=1
         )
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("next-order-bounds", passed, detail, dt)
-
-
-def check_gibbs_macroscopics(fast: bool = False) -> CheckResult:
-    def body():
-        cfg = sampler_mod.SamplerConfig(
-            n=32, beta=2.0, V=model_mod.quadratic(),
-            steps=20_000 if fast else 100_000,
-            burn_in=4_000 if fast else 10_000,
-            thinning=50, chains=8, seed=71,
-            windows=((0.0, 32.0),),
-        )
-        stats = sampler_mod.run(cfg)
-        mu = model_mod.semicircle_equilibrium()
-        expected = 32.0 * mu.interval_mass(-1.0, 1.0)
-        means = stats.count_traces[(0.0, 32.0)].reshape(cfg.chains, -1).mean(axis=1)
-        mean = float(np.mean(means))
-        se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-        ok = abs(mean - expected) <= 3.0 * se and stats.r_hat <= 1.1
-        return ok, (
-            f"count in [-1,1]: {mean:.4f} vs {expected:.4f} (3 sigma = {3 * se:.4f}); "
-            f"R_hat = {stats.r_hat:.4f} (<= 1.1)"
-        )
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("gibbs-macroscopics", passed, detail, dt)
-
-
-def check_crystallization(fast: bool = False) -> CheckResult:
-    def body():
-        betas = (1.0, 5.0, 20.0, 50.0)
-        seeds = (101, 202, 303, 404, 505)
-        V = model_mod.quadratic()
-        cfgs = [
-            sampler_mod.SamplerConfig(
-                n=32, beta=beta, V=V,
-                steps=10_000 if fast else 30_000,
-                burn_in=2_000 if fast else 5_000,
-                thinning=25, chains=2, seed=seed,
-            )
-            for beta in betas
-            for seed in seeds
-        ]
-        variances = [float(np.var(stats.spacing_samples)) for stats in sampler_mod.run_many(cfgs)]
-        means = [float(np.mean(variances[i:i + len(seeds)])) for i in range(0, len(variances), len(seeds))]
-        decreasing = all(b < a for a, b in zip(means, means[1:]))
-        return decreasing, (
-            "mean spacing variance over 5 seeds at beta=1,5,20,50: "
-            + ", ".join(f"{v:.4f}" for v in means)
-            + f"; strictly decreasing: {decreasing}"
-        )
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("crystallization", passed, detail, dt)
-
-
-def check_equilibrium_solver() -> CheckResult:
-    def body():
-        V = model_mod.quadratic()
-        grid = np.linspace(-3.0, 3.0, 2000)
-        mu = model_mod.solve_equilibrium(V, grid, tol=1e-3)
-        exact = model_mod.semicircle_equilibrium()
-        sup = float(np.abs(mu.density(grid) - exact.density(grid)).max())
-        # the solver's residual is on cell averages of U (its kernel K w);
-        # recompute it from the point values of U at the nodes of the
-        # numerical support, against the c that K w gives
-        c = model_mod.model_constants(mu, V).c
-        on = mu.weights > 1e-10
-        U = model_mod.log_potential(mu, grid[on])
-        resid = float(np.abs(U + 0.5 * V(grid[on]) - c).max())
-        ok = sup <= 2e-2 and resid <= 1e-3
-        return ok, f"sup density error {sup:.4f} (tol 0.02), equilibrium residual {resid:.2e} (tol 1e-3)"
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("equilibrium-solver", passed, detail, dt)
-
-
-def check_gradient_and_field() -> CheckResult:
-    def body():
-        rng = np.random.default_rng(99)
-        V_pool = [model_mod.quadratic(), model_mod.quartic(), model_mod.double_well()]
-        worst_fd = 0.0
-        for k in range(50):
-            n = int(rng.integers(3, 13))
-            for _ in range(200):
-                x = np.sort(rng.normal(0.0, 1.2, n))
-                if np.diff(x).min() > 0.02:
-                    break
-            V = V_pool[k % 3]
-            cfg = Configuration(x)
-            g = gradient(cfg, V)
-            for i in rng.choice(n, size=3, replace=False):
-                h = 1e-5 * max(1.0, abs(x[i]))
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                fd = (energy(Configuration(np.sort(xp)), V) - energy(Configuration(np.sort(xm)), V)) / (2 * h)
-                worst_fd = max(worst_fd, abs(fd - g[i]) / max(abs(g[i]), 1e-8))
-        if worst_fd > 1e-6:
-            return False, f"gradient FD relative error {worst_fd:.2e} > 1e-6"
-
-        worst_mirror = 0.0
-        worst_div = 0.0
-        decay_ok = True
-        for cfg in (
-            renorm_mod.lattice(4),
-            renorm_mod.PeriodicConfig(6, random_periodic_points(rng, 6)),
-            renorm_mod.PeriodicConfig(12, random_periodic_points(rng, 12)),
-        ):
-            f = field_mod.make_field(cfg)
-            N = cfg.period
-            xs = rng.uniform(0.0, N, 100)
-            ys = rng.uniform(0.2, 2.5, 100) * rng.choice([-1.0, 1.0], 100)
-            ex, ey = f.field(xs, ys)
-            mex, mey = f.field(xs, -ys)
-            scale = 1.0 + np.hypot(ex, ey)
-            worst_mirror = max(
-                worst_mirror,
-                float(np.max(np.abs(mex - ex) / scale)),
-                float(np.max(np.abs(mey + ey) / scale)),
-            )
-            h = 1e-5
-            dist = np.min(
-                np.abs((xs[:, None] - cfg.points[None, :] + N / 2) % N - N / 2), axis=1
-            )
-            keep = (dist > 0.25) & (np.abs(ys) > 0.2)
-            exp_, _ = f.field(xs[keep] + h, ys[keep])
-            exm_, _ = f.field(xs[keep] - h, ys[keep])
-            _, eyp_ = f.field(xs[keep], ys[keep] + h)
-            _, eym_ = f.field(xs[keep], ys[keep] - h)
-            div = (exp_ - exm_) / (2 * h) + (eyp_ - eym_) / (2 * h)
-            worst_div = max(worst_div, float(np.max(np.abs(div))))
-            # decay envelope exp(-2 pi y / N), factor-2 slack for x oscillation
-            xg = np.linspace(0.0, N, 40, endpoint=False)
-            amp = []
-            for y in (N, 1.5 * N, 2.0 * N):
-                gx, gy = f.field(xg, np.full_like(xg, y))
-                amp.append(np.hypot(gx, gy).max() * math.exp(2.0 * math.pi * y / N))
-            decay_ok &= amp[1] <= 2.0 * amp[0] and amp[2] <= 2.0 * amp[0]
-        ok = worst_mirror <= 1e-10 and worst_div <= 1e-4 and decay_ok
-        return ok, (
-            f"gradient FD {worst_fd:.2e} (tol 1e-6); mirror defect {worst_mirror:.2e}; "
-            f"max |div E| {worst_div:.2e} (tol 1e-4); decay envelope holds: {decay_ok}"
-        )
-
-    passed, detail, dt = _timed(body)
-    return CheckResult("gradient-and-field", passed, detail, dt)
+        keep = (dist > 0.25) & (np.abs(ys) > 0.2)
+        exp_, _ = f.field(xs[keep] + h, ys[keep])
+        exm_, _ = f.field(xs[keep] - h, ys[keep])
+        _, eyp_ = f.field(xs[keep], ys[keep] + h)
+        _, eym_ = f.field(xs[keep], ys[keep] - h)
+        div = (exp_ - exm_) / (2 * h) + (eyp_ - eym_) / (2 * h)
+        worst_div = max(worst_div, float(np.max(np.abs(div))))
+        # decay envelope exp(-2 pi y / N), factor-2 slack for x oscillation
+        xg = np.linspace(0.0, N, 40, endpoint=False)
+        amp = []
+        for y in (N, 1.5 * N, 2.0 * N):
+            gx, gy = f.field(xg, np.full_like(xg, y))
+            amp.append(np.hypot(gx, gy).max() * math.exp(2.0 * math.pi * y / N))
+        decay_ok &= amp[1] <= 2.0 * amp[0] and amp[2] <= 2.0 * amp[0]
+    ok = worst_mirror <= 1e-10 and worst_div <= 1e-4 and decay_ok
+    return ok, (
+        f"gradient FD {worst_fd:.2e} (tol 1e-6); mirror defect {worst_mirror:.2e}; "
+        f"max |div E| {worst_div:.2e} (tol 1e-4); decay envelope holds: {decay_ok}"
+    )
 
 
 ALL_CHECKS = (

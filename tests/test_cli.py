@@ -46,6 +46,45 @@ def test_unknown_command_exits_two(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["sample", "--n", "4", "--beta", "2", "--threads", "2"],
+                                  ["partition", "--n", "8", "--beta", "2", "--method", "bogus"],
+                                  ["partition", "--n", "8", "--beta", "2", "--potential", "bogus"]])
+def test_unknown_flags_and_choices_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        dispatch(argv)
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# (argv, first file written, or None when the command prints its own line,
+# and the flags the manifest records)
+EMITTERS = [
+    (["equilibrium", "--n", "200"], "measure.json", {"n": 200}),
+    (["fekete", "--n", "6", "--seed", "3"], "fekete.json", {"n": 6, "seed": 3}),
+    (["renorm", "--lattice", "--N", "8"], None, {"N": 8, "lattice": True}),
+    (["partition", "--n", "8", "--beta", "2"], "partition.json", {"n": 8, "beta": 2.0}),
+    (["partition-sweep", "--n", "4,8", "--beta", "1,2"], "partition_sweep.csv", {"n": "4,8", "beta": "1,2"}),
+    (["verify-field", "--n", "0"], "verify_field.csv", {"n": 0}),
+]
+
+
+@pytest.mark.parametrize("argv, first, given", EMITTERS, ids=[argv[0] for argv, _, _ in EMITTERS])
+def test_stdout_without_out_is_the_first_file_with_out(argv, first, given, tmp_path, capsys):
+    assert dispatch(argv) == 0
+    printed = capsys.readouterr().out
+    assert dispatch([*argv, "--out", str(tmp_path)]) == 0
+    printed_with_out = capsys.readouterr().out
+    if first is None:
+        # the w line is printed with or without --out, and is no file
+        assert printed_with_out == printed == f"{-math.pi * math.log(2.0 * math.pi):.12f}\n"
+    else:
+        assert printed_with_out == ""
+        assert (tmp_path / first).read_bytes() == printed.encode()
+    manifest = json.loads((tmp_path / f"manifest-{argv[0]}.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["parameters"] == {"command": argv[0], **given}
+
+
 @pytest.mark.parametrize("module", ["loggas.cli", "loggas"])
 def test_module_runs(module):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}

@@ -241,6 +241,16 @@ def test_solver_quartic_support_shrinks():
     assert mu.interval_mass(-3.0, 3.0) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("V, grid", [(V2, np.linspace(-3.0, 3.0, 2000)),
+                                     (quartic(), np.linspace(-4.0, 4.0, 1500))], ids=["quadratic", "quartic"])
+def test_solved_support_is_the_closed_hull_of_the_density(V, grid):
+    mu = solve_equilibrium(V, grid)
+    lo, hi = mu.support[0]
+    assert mu.interval_mass(lo, hi) == pytest.approx(1.0, abs=1e-12)
+    assert mu.density(np.nextafter(lo, -np.inf)) == 0.0 and mu.density(np.nextafter(hi, np.inf)) == 0.0
+    assert mu.density(lo) > 0.0 and mu.density(np.nextafter(hi, -np.inf)) > 0.0
+
+
 def test_measure_json_roundtrip():
     grid = np.linspace(-3.0, 3.0, 400)
     mu = solve_equilibrium(V2, grid)

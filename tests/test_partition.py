@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_next_order_report_fields():
     assert rep.n == 8 and rep.beta == 2.0
     expect = (rep.log_z + 8.0 * 8.0 * 0.75 - 8.0 * math.log(8.0)) / 16.0
     assert rep.next_order == pytest.approx(expect, rel=1e-12)
-    d = rep.to_json_dict()
+    d = asdict(rep)
     assert set(d) == {"n", "beta", "log_z", "method", "next_order", "error_bar"}
 
 

@@ -107,7 +107,6 @@ def test_single_particle_matches_gaussian():
         thinning=50,
         chains=2,
         seed=42,
-        init="quantile",
     )
     xs = run(cfg).samples[:, 0]
     assert len(xs) == 4000
@@ -191,7 +190,7 @@ def test_configs_do_not_depend_on_ladder():
     ladder = [
         base.replaced(V=blend(V2, Q, 0.25), windows=((0.0, 4.0),)),
         base.replaced(beta=5.0, chains=3, seed=11),
-        base.replaced(beta=1.0, V=blend(V2, Q, 0.8), chains=1, seed=5, init="quantile",
+        base.replaced(beta=1.0, V=blend(V2, Q, 0.8), chains=1, seed=5,
                       windows=((0.5, 2.0), (0.0, 8.0))),
     ]
     together = run_many(ladder)
@@ -293,7 +292,5 @@ def test_config_validation():
         SamplerConfig(n=4, beta=0.0, V=V2)
     with pytest.raises(ValueError):
         SamplerConfig(n=4, beta=1.0, V=V2, burn_in=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(n=4, beta=1.0, V=V2, init="random")
     with pytest.raises(ValueError):
         SamplerConfig(n=4, beta=1.0, V=V2, steps=40, thinning=50)
