@@ -65,6 +65,11 @@ def _resolve_potential(args) -> model_mod.Potential:
     return model_mod.BUILTIN_POTENTIALS[args.potential or "quadratic"]()
 
 
+def _given(args, **names) -> dict:
+    """{keyword: value} of each given flag in {keyword: flag}; the library's defaults fill the rest."""
+    return {kw: getattr(args, flag) for kw, flag in names.items() if getattr(args, flag) is not None}
+
+
 def _emit(args, res: Result) -> int:
     out = getattr(args, "out", None)
     if out:
@@ -115,7 +120,7 @@ def _solve_equilibrium(V: model_mod.Potential, n_nodes: int = 2000, tol: float =
 
 
 def _cmd_equilibrium(args) -> Result:
-    mu, consts = _solve_equilibrium(_resolve_potential(args), args.n or 2000, args.tol or 1e-3)
+    mu, consts = _solve_equilibrium(_resolve_potential(args), **_given(args, n_nodes="n", tol="tol"))
     return Result({"measure.json": model_mod.measure_to_json(mu, consts) + "\n"})
 
 
@@ -136,7 +141,7 @@ def _cmd_fekete(args) -> Result:
 
 def _cmd_sample(args) -> Result:
     cfg = sampler_mod.SamplerConfig(n=args.n, beta=args.beta, V=_resolve_potential(args),
-                                    steps=args.steps or 100_000, chains=args.chains or 4, seed=args.seed or 0)
+                                    **_given(args, steps="steps", chains="chains", seed="seed"))
     stats = sampler_mod.run(cfg)
     provenance = {
         "n": cfg.n,
@@ -194,7 +199,8 @@ def _cmd_verify_field(args) -> Result:
     worst = max(row[-1] for row in rows)
     header = ["config_id", "N", "periodic_w", "w_quadrature", "eta", "y_cut", "rel_err"]
     text = _csv(header, [[_fmt(v) for v in row] for row in rows])
-    return Result({"verify_field.csv": text}, seed=args.seed or 0, code=0 if worst <= (args.tol or 0.01) else 1)
+    tol = verify_mod.FIELD_RTOL if args.tol is None else args.tol
+    return Result({"verify_field.csv": text}, seed=args.seed or 0, code=0 if worst <= tol else 1)
 
 
 def _cmd_partition(args) -> Result:
@@ -240,7 +246,8 @@ def _cmd_verify(args) -> Result:
 
 #: every flag's type, help and choices, declared once
 FLAGS = {
-    "n": dict(type=int, help="particle count / node count"),
+    "n": dict(type=int, help="particles (fekete, sample, partition), grid nodes (equilibrium)"
+              " or random configurations (verify-field)"),
     "beta": dict(type=float, help="inverse temperature"),
     "N": dict(type=int, help="periodic configuration size"),
     "potential": dict(choices=sorted(model_mod.BUILTIN_POTENTIALS), help="built-in potential"),
@@ -248,7 +255,8 @@ FLAGS = {
     "seed": dict(type=int, help="master RNG seed"),
     "steps": dict(type=int, help="post burn-in steps per chain"),
     "chains": dict(type=int, help="independent chains"),
-    "tol": dict(type=float, help="tolerance"),
+    "tol": dict(type=float, help="gradient target (fekete), solver residual (equilibrium)"
+                " or largest relative error for exit 0 (verify-field)"),
     "method": dict(choices=("exact-quadratic", "quadrature", "thermo"),
                    help="how to get log Z (default: exact-quadratic)"),
     "out": dict(help="output directory (default: print to stdout)"),

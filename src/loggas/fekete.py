@@ -73,6 +73,17 @@ def quantile_start(n: int, mu: EquilibriumMeasure | None) -> np.ndarray:
     return ndtri((np.arange(n) + 0.5) / n)
 
 
+def jittered(base: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """The jittered-start rule of the solver and the sampler: `base` plus a
+    normal draw of `scale` times its smallest gap (1 for a single point),
+    sorted, and redrawn until strictly increasing."""
+    sd = scale * (float(np.min(np.diff(base))) if len(base) > 1 else 1.0)
+    while True:
+        x0 = np.sort(base + rng.normal(0.0, sd, len(base)))
+        if np.all(np.diff(x0) > 0):
+            return x0
+
+
 def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.ndarray:
     """Solve (H + s I) d = -g with the full w_n Hessian H: n diag V'' (by
     central differencing of V') plus the positive semidefinite Laplacian
@@ -164,7 +175,8 @@ def minimize(
 
     The starts are the quantiles of V's closed-form equilibrium measure
     (`equilibrium_for`), Gaussian quantiles when V has none; a single
-    point starts from a bounded scalar search on V instead.
+    point starts at V's global minimizer, the one-point Fekete set. Later
+    starts are jittered by 0.2 times the smallest gap (`jittered`).
 
     Returns
     -------
@@ -172,35 +184,25 @@ def minimize(
         With `converged` false (and diagnostics kept) if no start reached
         the tolerance; `breakdown` is None when V has no closed form.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if V is None:
         V = quadratic()
     if tol is None:
         tol = 1e-10 * n
     mu, consts = equilibrium_for(V) or (None, None)
     if n == 1:
-        # a bounded scalar search, not the quantile x = 0, which is a
-        # stationary maximum of the double well
-        from scipy.optimize import minimize_scalar
-
-        R = V.growth_check_radius
-        res = minimize_scalar(lambda t: float(np.asarray(V.eval(np.array([t])))[0]),
-                              bounds=(-R, R), method="bounded", options={"xatol": 1e-12})
-        base = np.array([float(res.x)])
+        # the critical point of least V; the real parts of all roots of V',
+        # as a multiple root comes back with a small imaginary part
+        P = np.polynomial.polynomial
+        x = P.polyroots(P.polyder(V.coeffs)).real
+        base = x[[int(np.argmin(V.eval(x)))]]
     else:
         base = quantile_start(n, mu)
 
     rng_master = np.random.default_rng(seed)
-    jitter = 0.2 * (float(np.min(np.diff(base))) if n > 1 else 1.0)
     runs = []
     for start in range(multistart):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
-        x0 = base
-        if start > 0:
-            x0 = np.sort(base + rng.normal(0.0, jitter, n))
-            while np.any(np.diff(x0) <= 0):
-                x0 = np.sort(base + rng.normal(0.0, jitter, n))
+        x0 = jittered(base, 0.2, rng) if start > 0 else base
         pts, gn, its, ok, trace = _descend(x0, V, n, tol, max_iter)
         runs.append((energy(Configuration(pts), V), gn, pts, its, ok, trace))
     # lowest final energy wins, ties to the smaller gradient, then the earlier start

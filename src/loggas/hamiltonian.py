@@ -4,7 +4,8 @@
 
 The exact splitting w_n = n^2 F(mu0) - n log n + n f_n isolates the
 next-order term f_n; subtracting the effective-potential mass gives
-f_hat = f_n - 2 sum_i zeta(x_i) <= f_n.
+f_hat = f_n - 2 sum_i zeta(x_i) <= f_n. `energy` and `gradient` trust
+the checks of `Configuration` and apply one formula at every n >= 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ __all__ = ["Configuration", "EnergyBreakdown", "energy", "gradient", "breakdown"
 
 @dataclass(frozen=True)
 class Configuration:
-    """Sorted n-tuple of particle positions at original scale."""
+    """Finite, strictly increasing particle positions at original scale,
+    with a finite span x[-1] - x[0]. Coincident points raise
+    DegenerateConfigError, any other breach ValueError."""
 
     points: np.ndarray
 
@@ -31,12 +34,14 @@ class Configuration:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or len(pts) < 1:
             raise ValueError("need at least one point")
-        if len(pts) > 1:
-            d = np.diff(pts)
-            if np.any(d == 0.0):
-                raise DegenerateConfigError("coincident points: logarithmic energy diverges")
-            if np.any(d < 0.0):
-                raise ValueError("points must be strictly increasing")
+        # finite ends and increasing points (NaN compares false) make every
+        # point finite; Python floats give inf - inf = nan without a warning
+        if not math.isfinite(float(pts[-1]) - float(pts[0])):
+            raise ValueError("points and their span must be finite")
+        if np.any(pts[1:] == pts[:-1]):
+            raise DegenerateConfigError("coincident points: logarithmic energy diverges")
+        if not np.all(pts[1:] > pts[:-1]):
+            raise ValueError("points must be finite and strictly increasing")
 
     @property
     def n(self) -> int:
@@ -59,22 +64,12 @@ class EnergyBreakdown:
     zeta_sum: float
 
 
-def _pair_distances(pts: np.ndarray) -> np.ndarray:
-    i, j = np.triu_indices(len(pts), 1)
-    d = pts[j] - pts[i]
-    if np.any(d <= 0) or np.any(~np.isfinite(d)):
-        raise DegenerateConfigError("coincident points: logarithmic energy diverges")
-    return d
-
-
 def energy(config: Configuration, V: Potential) -> float:
     """w_n with each unordered pair counted twice."""
     pts = config.points
     n = len(pts)
-    if n == 1:
-        return float(n * V.eval(pts).sum())
-    d = _pair_distances(pts)
-    interaction = -2.0 * math.fsum(np.log(d).tolist())
+    i, j = np.triu_indices(n, 1)
+    interaction = -2.0 * math.fsum(np.log(pts[j] - pts[i]).tolist())
     confinement = n * math.fsum(np.asarray(V.eval(pts), dtype=float).tolist())
     return interaction + confinement
 
@@ -83,14 +78,9 @@ def gradient(config: Configuration, V: Potential) -> np.ndarray:
     """Gradient of w_n: component i is -2 sum_{j != i} 1/(x_i - x_j) + n V'(x_i)."""
     pts = config.points
     n = len(pts)
-    if n == 1:
-        return n * np.asarray(V.deriv(pts), dtype=float)
     diff = pts[:, None] - pts[None, :]
     np.fill_diagonal(diff, np.inf)
-    if np.any(diff == 0.0):
-        raise DegenerateConfigError("coincident points: gradient diverges")
-    inv = 1.0 / diff
-    return -2.0 * inv.sum(axis=1) + n * np.asarray(V.deriv(pts), dtype=float)
+    return -2.0 * (1.0 / diff).sum(axis=1) + n * np.asarray(V.deriv(pts), dtype=float)
 
 
 def breakdown(

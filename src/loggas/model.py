@@ -88,8 +88,7 @@ class Potential:
         an even degree of at least 2 with a positive leading coefficient.
         Anything else raises ValueError.
     growth_check_radius : float
-        Radius R of the bracket [-R, R] that equilibrium solves and the
-        one-point Fekete search use.
+        Radius R of the first bracket [-R, R] of an equilibrium solve.
     label : str
         Short human-readable name, for display only; not compared.
     """
@@ -528,6 +527,8 @@ def solve_equilibrium(
     ConvergenceError
         If the residual is still above `tol` after `max_iter` iterations.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     nodes = np.asarray(grid, dtype=float)
     if nodes.ndim != 1 or len(nodes) < 8:
         raise ValueError("grid must be a 1-d array of at least 8 nodes")

@@ -27,7 +27,8 @@ COINCIDENCE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class PeriodicConfig:
-    """N strictly increasing points in [0, N) on the circle R/(N Z)."""
+    """N finite, strictly increasing points in [0, N) on the circle R/(N Z);
+    anything else raises ValueError."""
 
     period: int
     points: np.ndarray
@@ -39,9 +40,10 @@ class PeriodicConfig:
             raise ValueError("period must be a positive integer")
         if pts.ndim != 1 or len(pts) != self.period:
             raise ValueError("need exactly N points for period N")
-        if np.any(pts < 0.0) or np.any(pts >= self.period):
-            raise ValueError("points must lie in [0, N)")
-        if len(pts) > 1 and np.any(np.diff(pts) <= 0):
+        # written so that NaN, which fails every comparison, fails it too
+        if not np.all((pts >= 0.0) & (pts < self.period)):
+            raise ValueError("points must be finite and lie in [0, N)")
+        if np.any(np.diff(pts) <= 0):
             raise ValueError("points must be strictly increasing")
 
     def translated(self, t: float) -> "PeriodicConfig":
@@ -62,8 +64,6 @@ def periodic_w(config: PeriodicConfig) -> float:
     """
     N = config.period
     pts = config.points
-    if N == 1:
-        return -math.pi * math.log(2.0 * math.pi)
     i, j = np.triu_indices(N, 1)
     d = pts[i] - pts[j]
     # circle distance in units of the period

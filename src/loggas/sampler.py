@@ -31,9 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fekete import minimize, quantile_start
+from .fekete import jittered, minimize, quantile_start
 from .hamiltonian import Configuration, energy
-from .model import EquilibriumMeasure, Potential, equilibrium_for, horner, zeta
+from .model import Potential, equilibrium_for, horner, zeta
 
 __all__ = ["SamplerConfig", "GasStatistics", "run", "run_many", "metropolis_accept"]
 
@@ -86,10 +86,10 @@ class GasStatistics:
 
     `samples` holds the thinned configurations, chain-major, one sorted
     row per retained step. `count_traces[(x0, R)]` is the count of each
-    row in the window of radius R/n around x0; `spacing_samples` are the
-    bulk nearest-neighbour gaps scaled by n times the equilibrium density.
-    `f_n_trace` and `zeta_trace` (sum of zeta over each row) are empty
-    unless V has a closed form (`equilibrium_for`). `acceptance` and
+    row in the window of radius R/n around x0. `spacing_samples` (the bulk
+    nearest-neighbour gaps unfolded by n mu0), `f_n_trace` and `zeta_trace`
+    (sum of zeta over each row) need mu0, so they are empty unless V has a
+    closed form (`equilibrium_for`). `acceptance` and
     `chain_acceptance` count post-burn-in proposals only; `step_scales`
     holds each chain's proposal scale as frozen at the end of burn-in;
     `cache_drift` holds each chain's largest relative gap between its
@@ -158,20 +158,6 @@ def _tiled_columns(Vs: Sequence[Potential]) -> list:
     return [col if np.any(col) else None for col in columns]
 
 
-def _initial_config(cfg: SamplerConfig, chain_idx: int, rng: np.random.Generator,
-                    mu: EquilibriumMeasure | None) -> np.ndarray:
-    """Chain 0 starts at the Fekete set, every other chain at the quantile
-    start jittered by a normal draw of 0.3 times its smallest gap."""
-    if chain_idx == 0:
-        return np.array(minimize(cfg.n, cfg.V, seed=0, multistart=1, tol=1e-8 * cfg.n).config.points)
-    base = quantile_start(cfg.n, mu)
-    gap = float(np.min(np.diff(base))) if cfg.n > 1 else 1.0
-    pts = np.sort(base + rng.normal(0.0, 0.3 * gap, cfg.n))
-    while np.any(np.diff(pts) <= 0):
-        pts = np.sort(base + rng.normal(0.0, 0.3 * gap, cfg.n))
-    return pts
-
-
 def _run_chains(cfgs: Sequence[SamplerConfig]):
     """Step every chain of every config in `cfgs` in lockstep, one row per chain.
 
@@ -199,7 +185,10 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     for cfg in cfgs:
         mu = (equilibrium_for(cfg.V) or (None, None))[0]
         own = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
-        starts += [_initial_config(cfg, c, rng, mu) for c, rng in enumerate(own)]
+        # chain 0 starts at the Fekete set, the others at jittered quantiles
+        starts.append(minimize(cfg.n, cfg.V, seed=0, multistart=1, tol=1e-8 * cfg.n).config.points)
+        base = quantile_start(cfg.n, mu)
+        starts += [jittered(base, 0.3, rng) for rng in own[1:]]
         rngs += own
         Vs += [cfg.V] * cfg.chains
         chain_of += range(cfg.chains)
@@ -311,18 +300,15 @@ def _statistics(cfg: SamplerConfig, chain_samples: np.ndarray, chain_energies: n
         inside = (flat >= x0 - r) & (flat <= x0 + r)
         count_traces[(x0, float(R))] = inside.sum(axis=1).astype(float)
 
-    # normalized nearest-neighbor spacings from the bulk (central half)
-    lo_i, hi_i = n // 4, max(n // 4 + 1, (3 * n) // 4)
-    gaps = np.diff(flat, axis=1)[:, lo_i:hi_i]
-    left = flat[:, lo_i:hi_i]
-    dens = mu.density(left) if mu is not None else np.full_like(left, 1.0)
-    spacing_samples = (n * dens * gaps).ravel()
-
     if consts is not None:
+        # nearest-neighbour spacings from the bulk (central half), unfolded by n mu0
+        lo_i, hi_i = n // 4, max(n // 4 + 1, (3 * n) // 4)
+        gaps = np.diff(flat, axis=1)[:, lo_i:hi_i]
+        spacing_samples = (n * mu.density(flat[:, lo_i:hi_i]) * gaps).ravel()
         f_n_trace = (energies - n * n * consts.mean_field_energy + n * math.log(n)) / n
         zeta_trace = zeta(mu, cfg.V, consts.c, flat).sum(axis=1)
     else:
-        f_n_trace = zeta_trace = np.array([])
+        spacing_samples = f_n_trace = zeta_trace = np.array([])
 
     return GasStatistics(
         count_traces=count_traces,

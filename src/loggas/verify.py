@@ -23,6 +23,8 @@ from . import sampler as sampler_mod
 from .hamiltonian import Configuration, energy, gradient
 
 LATTICE_W = -math.pi * math.log(2.0 * math.pi)
+#: largest relative error of the field quadrature against the closed-form W
+FIELD_RTOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def check_lattice_optimality() -> tuple[bool, str]:
 def check_field_equivalence(fast: bool = False) -> tuple[bool, str]:
     rows = field_errors(field_cases(np.random.default_rng(1137), 5 if fast else 20))
     worst = max(row[-1] for row in rows)
-    return worst <= 0.01, f"max relative quadrature error {worst:.2%} over {len(rows)} configs"
+    return worst <= FIELD_RTOL, f"max relative quadrature error {worst:.2%} over {len(rows)} configs"
 
 
 @_check

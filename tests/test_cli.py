@@ -34,6 +34,32 @@ def test_renorm_bad_period():
     assert dispatch(["renorm", "--lattice", "--N", "0"]) == 1
 
 
+def test_renorm_non_finite_stdin_exits_one(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"N": 2, "points": [NaN, 1.0]}'))
+    assert dispatch(["renorm", "--N", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["equilibrium", "--n", "0"],
+                                  ["equilibrium", "--tol", "0"],
+                                  ["sample", "--n", "4", "--beta", "2", "--steps", "0"],
+                                  ["sample", "--n", "4", "--beta", "2", "--chains", "0"],
+                                  ["verify-field", "--n", "0", "--tol", "0"]],
+                         ids=["equilibrium-n", "equilibrium-tol", "sample-steps", "sample-chains",
+                              "verify-field-tol"])
+def test_zero_valued_flags_reach_the_library(argv, capsys):
+    # a zero is passed on as given, not replaced by a default; verify-field
+    # fails its threshold (lattice-1 has a relative error of 7e-5 > 0) and
+    # says so by its exit code alone
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") == (argv[0] != "verify-field")
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as e:
         dispatch(["fekete"])

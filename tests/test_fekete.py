@@ -32,6 +32,21 @@ def test_single_point_result_is_complete():
     assert res.energy_trace and res.energy_trace[-1] == res.breakdown.w_n
 
 
+def test_single_point_is_the_global_minimum_of_v():
+    # V' = x (1 - 0.06 x + 4e-4 x^2) has roots 0 and 75 -+ 25 sqrt 5; the
+    # local minimum at 0 has V = 0, the global one at 75 + 25 sqrt 5 has V = -6931.36
+    V = polynomial([0.0, 0.0, 0.5, -0.02, 1e-4])
+    res = minimize(1, V)
+    assert res.converged
+    assert res.config.points[0] == pytest.approx(75.0 + 25.0 * math.sqrt(5.0), abs=1e-9)
+
+
+def test_single_point_double_well_is_a_well():
+    # the quantile start x = 0 is the double well's stationary maximum
+    res = minimize(1, double_well())
+    assert abs(res.config.points[0]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
 def test_polynomial_half_x_squared_solves_as_quadratic():
     # same V, so the same semicircle start, points and breakdown
     a = minimize(16, polynomial([0.0, 0.0, 0.5]), multistart=1)

@@ -51,6 +51,24 @@ def test_coincident_points_rejected():
     assert np.isfinite(energy(Configuration(np.array([0.0, 1e-300])), V2))
 
 
+@pytest.mark.parametrize("points", [
+    [np.nan, 1.0], [0.0, np.nan, 2.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan], [np.inf],
+    [-1e308, 1e308],  # finite points, but the span overflows
+])
+def test_non_finite_points_rejected(points):
+    with pytest.raises(ValueError):
+        Configuration(np.array(points))
+
+
+@pytest.mark.parametrize("V", [quadratic(), quartic()], ids=["quadratic", "quartic"])
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.3, -1.7, 1e-200, 5.0])
+def test_single_point_is_the_confinement(V, x):
+    # n = 1 has no pairs: w_1 = V(x) and its gradient V'(x), bit for bit
+    cfg = Configuration(np.array([x]))
+    assert energy(cfg, V) == float(V.eval(np.array([x]))[0])
+    assert np.array_equal(gradient(cfg, V), V.deriv(np.array([x])))
+
+
 def test_gradient_zero_at_two_point_minimizer():
     cfg = Configuration(np.array([-INV_SQRT2, INV_SQRT2]))
     assert np.max(np.abs(gradient(cfg, V2))) <= 1e-12

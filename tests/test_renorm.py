@@ -42,6 +42,13 @@ def test_invalid_config_rejected():
         PeriodicConfig(0, np.array([]))
 
 
+@pytest.mark.parametrize("points", [[np.nan, 1.0], [0.0, np.nan], [0.0, np.inf], [-np.inf, 1.0]])
+def test_non_finite_config_rejected(points):
+    # a NaN fails no range comparison, so it used to reach periodic_w as W = nan
+    with pytest.raises(ValueError):
+        PeriodicConfig(2, np.array(points))
+
+
 def shift_rounding(cfg, t):
     """Bound on the change of W made by rounding x + t in a shift by t.
 
@@ -82,12 +89,29 @@ def test_translation_bound_sees_a_point_moved_by_1e_9():
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 16), st.integers(0, 10_000))
+# two points 3.2e-5 apart: rounding cfg.points + N moves W by 1.4e-11
+@example(N=6, seed=745)
 def test_doubling_consistency(N, seed):
-    # period-2N concatenation of a config with its translate: same average
+    # period-2N concatenation of a config with its translate: same average;
+    # the translate cfg.points + N is itself rounded, as in a shift by N
     rng = np.random.default_rng(seed)
     cfg = random_config(rng, N)
+    w0 = periodic_w(cfg)
     doubled = PeriodicConfig(2 * N, np.concatenate([cfg.points, cfg.points + N]))
-    assert periodic_w(doubled) == pytest.approx(periodic_w(cfg), abs=1e-12 * max(1.0, abs(periodic_w(cfg))))
+    bound = 1e-12 * max(1.0, abs(w0)) + shift_rounding(cfg, N)
+    assert periodic_w(doubled) == pytest.approx(w0, abs=bound)
+
+
+def test_doubling_bound_sees_a_point_moved_by_1e_9():
+    N = 6
+    cfg = random_config(np.random.default_rng(745), N)
+    w0 = periodic_w(cfg)
+    bound = 1e-12 * max(1.0, abs(w0)) + shift_rounding(cfg, N)
+    doubled = np.concatenate([cfg.points, cfg.points + N])
+    for k in range(2 * N):
+        moved = doubled.copy()
+        moved[k] += 1e-9
+        assert abs(periodic_w(PeriodicConfig(2 * N, moved)) - w0) > bound
 
 
 def test_lattice_min_values():

@@ -285,6 +285,16 @@ def test_polynomial_half_x_squared_keeps_traces():
     assert a.f_n_trace.size == a.zeta_trace.size == len(a.samples) > 0
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.f_n_trace, b.f_n_trace)
+    assert a.spacing_samples.size > 0
+    assert np.array_equal(a.spacing_samples, b.spacing_samples)
+
+
+def test_spacings_need_a_closed_form():
+    # without mu0 the gaps cannot be unfolded, so like f_n and zeta they are empty
+    stats = run(SamplerConfig(n=8, beta=2.0, V=quartic(), steps=1_000, burn_in=500, thinning=10,
+                              chains=2, seed=6))
+    assert len(stats.samples) > 0
+    assert stats.spacing_samples.size == stats.f_n_trace.size == stats.zeta_trace.size == 0
 
 
 def test_config_validation():

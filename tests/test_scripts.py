@@ -12,7 +12,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 CASES = [
-    ("next_order_scan.py", ["--ns", "4,8", "--betas", "1,2"], ["n", "beta", "log_z", "next_order"]),
     ("fekete_convergence.py", ["--ns", "4,8"],
      ["n", "f_n", "gap_to_half", "oracle_sup_gap", "oracle_grad_sup", "seconds"]),
     ("crystallization_sweep.py", ["--n", "4", "--betas", "1,2", "--seeds", "1", "--steps", "2000"],
