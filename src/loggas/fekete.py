@@ -85,18 +85,17 @@ def jittered(base: np.ndarray, scale: float, rng: np.random.Generator) -> np.nda
 
 
 def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.ndarray:
-    """Solve (H + s I) d = -g with the full w_n Hessian H: n diag V'' (by
-    central differencing of V') plus the positive semidefinite Laplacian
-    with off-diagonal -2/(x_i-x_j)^2. So s = 0 when H factors; else the
-    Levenberg shift s starts above the Gershgorin bound -n min V'' and
-    grows tenfold while rounding still defeats the Cholesky factorisation.
+    """Solve (H + s I) d = -g with the full w_n Hessian H: n diag V'' (exact,
+    from V's coefficients) plus the positive semidefinite Laplacian with
+    off-diagonal -2/(x_i-x_j)^2. So s = 0 when H factors; else the Levenberg
+    shift s starts above the Gershgorin bound -n min V'' and grows tenfold
+    while rounding still defeats the Cholesky factorisation.
     """
     H = pts[:, None] - pts[None, :]
     np.fill_diagonal(H, np.inf)
     H *= H
     np.divide(-2.0, H, out=H)
-    h = 1e-6 * max(1.0, float(np.max(np.abs(pts))))
-    nvpp = n * (np.asarray(V.deriv(pts + h)) - np.asarray(V.deriv(pts - h))) / (2.0 * h)
+    nvpp = n * V.deriv2(pts)
     diag = nvpp - H.sum(axis=1)
     shift = 0.0
     for _ in range(20):
@@ -175,8 +174,8 @@ def minimize(
 
     The starts are the quantiles of V's closed-form equilibrium measure
     (`equilibrium_for`), Gaussian quantiles when V has none; a single
-    point starts at V's global minimizer, the one-point Fekete set. Later
-    starts are jittered by 0.2 times the smallest gap (`jittered`).
+    point starts, alone, at V's global minimizer, the one-point Fekete set.
+    Later starts are jittered by 0.2 times the smallest gap (`jittered`).
 
     Returns
     -------
@@ -190,11 +189,12 @@ def minimize(
         tol = 1e-10 * n
     mu, consts = equilibrium_for(V) or (None, None)
     if n == 1:
-        # the critical point of least V; the real parts of all roots of V',
-        # as a multiple root comes back with a small imaginary part
-        P = np.polynomial.polynomial
-        x = P.polyroots(P.polyder(V.coeffs)).real
+        # V's global minimizer, its critical point of least V, so one start
+        # suffices; the real parts of all roots of V', as a multiple root
+        # comes back with a small imaginary part
+        x = np.polynomial.polynomial.polyroots(V.deriv_coeffs[0]).real
         base = x[[int(np.argmin(V.eval(x)))]]
+        multistart = 1
     else:
         base = quantile_start(n, mu)
 

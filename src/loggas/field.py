@@ -167,7 +167,7 @@ def w_quadrature(field: CylinderField, eta: float = 1e-3, y_cut: float | None = 
         y_cut = float(max(N, 4.0))
     if y_cut < N:
         raise ValueError("y_cut must be at least the period N")
-    gaps = np.diff(np.append(pts, pts[0] + N)) if n > 1 else np.array([float(N)])
+    gaps = np.diff(np.append(pts, pts[0] + N))
     min_gap = float(gaps.min())
     if eta >= 0.5 * min_gap:
         raise ValueError("eta too large: must be below half the minimal gap")

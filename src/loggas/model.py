@@ -7,14 +7,14 @@ The macroscopic state of the gas is the probability measure minimizing
 whose minimizer mu0 (the equilibrium measure) is characterized by the
 optimality condition U(x) + V(x)/2 = c on the support and >= c outside,
 where U is the logarithmic potential of mu0 and c the Robin constant.
-A potential is its ascending polynomial coefficients, and `horner` is the
-one evaluation of V and V' (the sampler runs it on a matrix of them).
-This module provides the quadratic closed form (semicircle), a simplex
-projected-gradient solver for general V, and the derived constants
-c, F(mu0), and alpha = int m0 log(2 pi m0). A solved measure is constant
-on each cell of `_cell_edges`, and every grid rule integrates those cells.
-`equilibrium_for` is the one place that maps a potential to its closed
-form, by its coefficients.
+A potential is its ascending coefficients, differentiated in one place;
+`horner` evaluates V, V' and V'' (the sampler, on a matrix of them).
+This module provides the quadratic closed form (semicircle, in its angle
+x = 2 cos theta), a simplex projected-gradient solver for general V, and
+the constants c, F(mu0), and alpha = int m0 log(2 pi m0). A solved measure
+is constant on each cell of `_cell_edges`, and every grid rule integrates
+those cells. zeta = U + V/2 - c is one formula for every measure, and
+`equilibrium_for` alone maps a potential to its closed form.
 """
 
 from __future__ import annotations
@@ -110,20 +110,28 @@ class Potential:
         object.__setattr__(self, "coeffs", c)
 
     @cached_property
-    def _columns(self) -> tuple:
-        return tuple(c or None for c in self.coeffs)
+    def deriv_coeffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Ascending coefficients of V' and V'', the one differentiation of V."""
+        d1 = tuple(k * c for k, c in enumerate(self.coeffs))[1:]
+        return d1, tuple(k * c for k, c in enumerate(d1))[1:]
 
     @cached_property
-    def _deriv_columns(self) -> tuple:
-        return tuple(k * c or None for k, c in enumerate(self.coeffs))[1:]
+    def _columns(self) -> tuple:
+        """`horner` columns of V, V' and V'', with None for a zero coefficient."""
+        return tuple(tuple(c or None for c in cs) for cs in (self.coeffs, *self.deriv_coeffs))
 
     def eval(self, x):
         """V(x), elementwise."""
-        return horner(self._columns, np.asarray(x, dtype=float))
+        return horner(self._columns[0], np.asarray(x, dtype=float))
 
     def deriv(self, x):
         """V'(x), elementwise, from the differentiated coefficients."""
-        return horner(self._deriv_columns, np.asarray(x, dtype=float))
+        return horner(self._columns[1], np.asarray(x, dtype=float))
+
+    def deriv2(self, x):
+        """V''(x), elementwise; a quadratic V'' is one constant column, too few for `horner`."""
+        cols = self._columns[2]
+        return horner(cols, np.asarray(x, dtype=float)) if len(cols) > 1 else np.full(np.shape(x), cols[0])
 
     def __call__(self, x):
         return self.eval(x)
@@ -224,7 +232,9 @@ class EquilibriumMeasure:
     def cdf(self, x):
         """Mass left of x, elementwise."""
         if self.closed_form == "semicircle":
-            return _semicircle_cdf(x)
+            # x = 2 cos theta; exactly 0 below -2 and 1 above 2
+            theta = np.arccos(np.clip(np.asarray(x, dtype=float) / 2.0, -1.0, 1.0))
+            return 1.0 - (theta - np.sin(theta) * np.cos(theta)) / math.pi
         return np.interp(x, _cell_edges(self.nodes), np.concatenate([[0.0], np.cumsum(self.weights)]))
 
     def interval_mass(self, lo: float, hi: float) -> float:
@@ -255,19 +265,6 @@ def _cell_edges(nodes: np.ndarray) -> np.ndarray:
     return np.concatenate([[nodes[0] - (mids[0] - nodes[0])], mids, [nodes[-1] + (nodes[-1] - mids[-1])]])
 
 
-# math.asin elementwise: numpy's SIMD arcsin differs from it in the last bit
-# for about one input in twelve, which moves the quantiles that start the
-# Fekete solver and the sampler
-_asin = np.frompyfunc(math.asin, 1, 1)
-
-
-def _semicircle_cdf(x):
-    """Semicircle mass left of x, elementwise; exactly 0 below -2 and 1 above 2."""
-    t = np.clip(x, -2.0, 2.0)
-    arc = np.asarray(_asin(t / 2.0), dtype=float)
-    return 0.5 + t * np.sqrt(4.0 - t * t) / (4.0 * math.pi) + arc / math.pi
-
-
 def semicircle_equilibrium() -> EquilibriumMeasure:
     """Equilibrium measure of the quadratic model: density sqrt(4-x^2)/(2 pi)."""
     return EquilibriumMeasure(
@@ -281,43 +278,13 @@ def semicircle_equilibrium() -> EquilibriumMeasure:
 # ---------------------------------------------------------------------------
 # logarithmic potential, effective potential, constants
 
-#: exact values of the quadratic closed form
-SEMICIRCLE_C = 0.5
-SEMICIRCLE_F = 0.75
-SEMICIRCLE_ALPHA = 0.5
-
-
-def _semicircle_log_potential(x: np.ndarray) -> np.ndarray:
-    # U(x) = 1/2 - x^2/4 inside [-2,2]. Outside, base + zeta suffers
-    # cancellation at large |x| (x^2/4 terms of size 1e11 against an O(1)
-    # answer), so use the algebraically equivalent stable form
-    # 1/2 - a/(a + r) - log((a + r)/2), r = sqrt(a^2 - 4), a = |x|.
-    x = np.asarray(x, dtype=float)
-    res = 0.5 - x * x / 4.0
-    out = np.abs(x) > 2.0
-    if np.any(out):
-        a = np.abs(x[out])
-        r = np.sqrt(a * a - 4.0)
-        res[out] = 0.5 - a / (a + r) - np.log((a + r) / 2.0)
-    return res
-
-
-def _semicircle_zeta(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    z = np.zeros_like(ax)
-    out = ax > 2.0
-    if np.any(out):
-        a = ax[out]
-        r = np.sqrt(a * a - 4.0)
-        z[out] = a * r / 4.0 - np.log((a + r) / 2.0)
-    return z
-
 
 def log_potential(mu: EquilibriumMeasure, x):
     """U(x) = -int log|x - y| dmu(y); scalar in, scalar out.
 
-    Closed-form semicircle uses the exact piecewise formula. A grid measure
+    The semicircle has U = 1/2 - x^2/4 on [-2, 2] and, off it, with |x| =
+    2 cosh a, U = -a - e^(-2a)/2, which has no cancellation at large |x|
+    and is evaluated only at the off-support points. A grid measure
     integrates its cells exactly: with f1(t) = t (log|t| - 1), the first
     antiderivative of log|t|, U(x) = -sum_k j_k f1(x - e_k), where j_k is
     the jump of the density at the cell edge e_k.
@@ -326,7 +293,11 @@ def log_potential(mu: EquilibriumMeasure, x):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     if mu.closed_form == "semicircle":
-        u = _semicircle_log_potential(x)
+        u = 0.5 - x * x / 4.0
+        out = np.abs(x) > 2.0
+        if np.any(out):
+            a = np.arccosh(np.abs(x[out]) / 2.0)
+            u[out] = -a - np.exp(-2.0 * a) / 2.0
     else:
         e = _cell_edges(mu.nodes)
         jumps = np.diff(mu.weights / np.diff(e), prepend=0.0, append=0.0)
@@ -344,18 +315,13 @@ def log_potential(mu: EquilibriumMeasure, x):
 def zeta(mu: EquilibriumMeasure, V: Potential, c: float, x) -> np.ndarray:
     """Effective potential zeta = U + V/2 - c; zero on the support, >= 0 off it.
 
-    The semicircle paired with V = x^2/2 (coefficients SEMICIRCLE_V) uses
-    the exact zeta of x^2/2 shifted by SEMICIRCLE_C - c; any other pair
-    sums U and V.
+    One formula for every measure; V/2 and c are applied in place on U.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if mu.closed_form == "semicircle" and V.coeffs == SEMICIRCLE_V:
-        z = _semicircle_zeta(x) + (SEMICIRCLE_C - c)
-    else:
-        z = log_potential(mu, x) + V.eval(x) / 2.0 - c
-    return float(z[0]) if scalar else z
+    z = np.atleast_1d(log_potential(mu, x))
+    z += V.eval(x) / 2.0
+    z -= c
+    return float(z[0]) if x.ndim == 0 else z
 
 
 def _semicircle_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +346,7 @@ def mean_field_energy(mu: EquilibriumMeasure, V: Potential) -> float:
     if mu.closed_form == "semicircle":
         t, wts = _semicircle_rule()
         x = 2.0 * np.sin(t)
-        return float(np.dot(wts, _semicircle_log_potential(x) + V.eval(x)))
+        return float(np.dot(wts, log_potential(mu, x) + V.eval(x)))
     return _grid_energy(_log_kernel(mu.nodes), mu.weights, V.eval(mu.nodes))
 
 
@@ -448,9 +414,9 @@ def equilibrium_for(V: Potential) -> tuple[EquilibriumMeasure, ModelConstants] |
     """The closed-form equilibrium measure of V and its constants (c, F,
     alpha), or None when V has no closed form (`solve_equilibrium` then
     applies). Decided by V's coefficients alone: x^2/2 (SEMICIRCLE_V) has
-    the semicircle; no solve, no cache."""
+    the semicircle and the exact (1/2, 3/4, 1/2); no solve, no cache."""
     if V.coeffs == SEMICIRCLE_V:
-        return semicircle_equilibrium(), ModelConstants(SEMICIRCLE_C, SEMICIRCLE_F, SEMICIRCLE_ALPHA)
+        return semicircle_equilibrium(), ModelConstants(c=0.5, mean_field_energy=0.75, alpha=0.5)
     return None
 
 

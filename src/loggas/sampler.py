@@ -49,7 +49,7 @@ class SamplerConfig:
 
     `steps` counts post-burn-in steps per chain; `windows` lists the
     (x0, R) count windows, each covering the closed interval of radius
-    R/n around x0 (none gives the one window (0, n)).
+    R/n around x0 (none gives the one window (0, n)), for a finite x0 and R > 0.
     """
 
     n: int
@@ -71,6 +71,9 @@ class SamplerConfig:
             raise ValueError("need at least one chain and one step")
         if self.steps < self.thinning:
             raise ValueError("steps must be at least thinning, so that each chain keeps a sample")
+        for x0, R in self.windows:
+            if not (math.isfinite(x0) and math.isfinite(R) and R > 0):
+                raise ValueError(f"window (x0, R) = ({x0}, {R}) needs a finite x0 and a finite R > 0")
 
     def replaced(self, **kw) -> "SamplerConfig":
         return dataclasses.replace(self, **kw)

@@ -63,6 +63,8 @@ def field_cases(rng, k: int) -> list[tuple[str, renorm_mod.PeriodicConfig]]:
     """Named configurations for the field quadrature: the lattices N = 1,
     2 and 8, then k random ones of period 2..16, each kept only when
     |w| >= 0.5, so that the relative error against w is meaningful."""
+    if k < 0:
+        raise ValueError(f"the number of random configurations must be at least 0, got {k}")
     cases = [(f"lattice-{N}", renorm_mod.lattice(N)) for N in (1, 2, 8)]
     while len(cases) < 3 + k:
         N = int(rng.integers(2, 17))

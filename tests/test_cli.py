@@ -60,6 +60,13 @@ def test_zero_valued_flags_reach_the_library(argv, capsys):
     assert err.startswith("error:") == (argv[0] != "verify-field")
 
 
+def test_verify_field_negative_count_exits_one(capsys):
+    assert dispatch(["verify-field", "--n", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as e:
         dispatch(["fekete"])

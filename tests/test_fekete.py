@@ -41,6 +41,16 @@ def test_single_point_is_the_global_minimum_of_v():
     assert res.config.points[0] == pytest.approx(75.0 + 25.0 * math.sqrt(5.0), abs=1e-9)
 
 
+def test_single_point_runs_one_descent():
+    # V's global minimizer is the one-point Fekete set, so jittered
+    # restarts around it would only add solves and let rounding pick the
+    # reported iteration count
+    V = polynomial([0.0, 0.0, 0.5, -0.02, 1e-4])
+    one, three = minimize(1, V, multistart=1), minimize(1, V, multistart=3)
+    assert one.iterations == three.iterations == 0
+    assert np.array_equal(one.config.points, three.config.points)
+
+
 def test_single_point_double_well_is_a_well():
     # the quantile start x = 0 is the double well's stationary maximum
     res = minimize(1, double_well())

@@ -26,7 +26,6 @@ from loggas.model import (
     EquilibriumMeasure,
     _cell_edges,
     _log_kernel,
-    _semicircle_cdf,
     alpha,
     measure_from_json,
     measure_to_json,
@@ -65,8 +64,9 @@ def test_semicircle_cdf_vectorized():
         return 0.5 + x * math.sqrt(4.0 - x * x) / (4.0 * math.pi) + math.asin(x / 2.0) / math.pi
 
     x = np.linspace(-2.5, 2.5, 1001)
-    # bit for bit: the quantiles built on it start the Fekete solver and the sampler
-    np.testing.assert_array_equal(_semicircle_cdf(x), [scalar_cdf(v) for v in x])
+    # the angle form against the asin form, at rounding level (2.2e-16 measured)
+    np.testing.assert_allclose(MU.cdf(x), [scalar_cdf(v) for v in x], rtol=0.0, atol=4.4e-16)
+    assert np.array_equal(MU.cdf(np.array([-3.0, -2.0, 2.0, 3.0])), [0.0, 0.0, 1.0, 1.0])
     assert type(MU.interval_mass(-1.0, 1.0)) is float
 
 
@@ -144,6 +144,24 @@ def test_semicircle_needs_half_x_squared():
     for V in (quartic(), polynomial([0.0, 0.0, 1.0])):
         with pytest.raises(ValueError):
             model_constants(MU, V)
+
+
+def test_semicircle_log_potential_far_field_has_no_cancellation():
+    # U = -u - e^(-2u)/2 with |x| = 2 cosh u; for large |x| that is
+    # -log|x| + 1/(2 x^2) + 1/(2 x^4) + O(x^-6), kept to full relative precision
+    for x in (1e3, -1e4, 1e10, -1e12, 3e150):
+        far = -math.log(abs(x)) + 0.5 * x**-2.0 + 0.5 * x**-4.0
+        assert log_potential(MU, x) == pytest.approx(far, rel=1e-15, abs=0.0)
+    assert log_potential(MU, math.inf) == -math.inf
+
+
+def test_second_derivative_from_the_coefficients():
+    xs = np.linspace(-5.0, 5.0, 101)
+    assert np.array_equal(V2.deriv2(xs), np.ones_like(xs))
+    assert V2.deriv_coeffs == ((0.0, 1.0), (1.0,))
+    for V in (quartic(), double_well(), blend(V2, quartic(), 0.3), polynomial([1.0, -2.0, 0.5, 0.1, 0.3, 0.0, 0.2])):
+        d2 = np.polynomial.polynomial.polyder(V.coeffs, 2)
+        assert np.allclose(V.deriv2(xs), np.polynomial.polynomial.polyval(xs, d2), rtol=1e-14, atol=1e-12)
 
 
 def test_zeta_closed_form_shifts_with_c():
