@@ -14,6 +14,7 @@ Hessian.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .hamiltonian import Configuration, EnergyBreakdown, breakdown, energy, gradient
-from .model import EquilibriumMeasure, Potential, equilibrium_for, quadratic
+from .model import EquilibriumMeasure, Potential, equilibrium_for, quadratic, semicircle_equilibrium
 
 __all__ = ["FeketeResult", "minimize", "hermite_oracle"]
 
@@ -65,12 +66,8 @@ def hermite_oracle(n: int) -> Configuration:
 
 def quantile_start(n: int, mu: EquilibriumMeasure | None) -> np.ndarray:
     """The start rule of the solver and the sampler: the midpoint quantiles
-    of `mu`, or Gaussian quantiles as a generic confined start."""
-    if mu is not None:
-        return mu.quantiles(n)
-    from scipy.special import ndtri
-
-    return ndtri((np.arange(n) + 0.5) / n)
+    of `mu`, V's closed-form equilibrium measure, or else the semicircle's."""
+    return (semicircle_equilibrium() if mu is None else mu).quantiles(n)
 
 
 def jittered(base: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -87,9 +84,9 @@ def jittered(base: np.ndarray, scale: float, rng: np.random.Generator) -> np.nda
 def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.ndarray:
     """Solve (H + s I) d = -g with the full w_n Hessian H: n diag V'' (exact,
     from V's coefficients) plus the positive semidefinite Laplacian with
-    off-diagonal -2/(x_i-x_j)^2. So s = 0 when H factors; else the Levenberg
-    shift s starts above the Gershgorin bound -n min V'' and grows tenfold
-    while rounding still defeats the Cholesky factorisation.
+    off-diagonal -2/(x_i-x_j)^2. So s = 0 when H factors; else s is the
+    Gershgorin floor -n min V'' plus 1e-12 max |diag| against rounding, and
+    ConvergenceError if H + s I still does not factor.
     """
     H = pts[:, None] - pts[None, :]
     np.fill_diagonal(H, np.inf)
@@ -97,18 +94,14 @@ def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.nda
     np.divide(-2.0, H, out=H)
     nvpp = n * V.deriv2(pts)
     diag = nvpp - H.sum(axis=1)
-    shift = 0.0
-    for _ in range(20):
+    floor = max(0.0, -float(np.min(nvpp))) + 1e-12 * float(np.max(np.abs(diag)))
+    for shift in (0.0, floor):
         np.fill_diagonal(H, diag + shift)
-        try:
+        with contextlib.suppress(np.linalg.LinAlgError):
             np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            floor = max(0.0, -float(np.min(nvpp))) + 1e-12 * float(np.max(np.abs(diag)))
-            shift = max(10.0 * shift, floor)
-            continue
-        # numpy has no triangular solve: one LU beats two through the factor
-        return np.linalg.solve(H, -g)
-    raise ConvergenceError("no Levenberg shift made the w_n Hessian positive definite")
+            # numpy has no triangular solve: one LU beats two through the factor
+            return np.linalg.solve(H, -g)
+    raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
 
 
 def _descend(x0: np.ndarray, V: Potential, n: int, tol: float,
@@ -170,12 +163,12 @@ def minimize(
         Master seed; `multistart` jittered starts are derived from it and
         the best final energy wins (ties broken by gradient norm).
     tol : float, optional
-        Sup-norm gradient target; defaults to 1e-10 * n (scale-aware).
+        Positive sup-norm gradient target; defaults to 1e-10 * n (scale-aware).
 
-    The starts are the quantiles of V's closed-form equilibrium measure
-    (`equilibrium_for`), Gaussian quantiles when V has none; a single
-    point starts, alone, at V's global minimizer, the one-point Fekete set.
-    Later starts are jittered by 0.2 times the smallest gap (`jittered`).
+    The starts are the quantiles of `quantile_start`, all but the first
+    jittered by 0.2 times the smallest gap (`jittered`); so is the first
+    where V'' < 0 at a start point, since it can be a saddle of w_n (the
+    double well's 0 at odd n). n = 1 starts once, at V's global minimizer.
 
     Returns
     -------
@@ -187,6 +180,8 @@ def minimize(
         V = quadratic()
     if tol is None:
         tol = 1e-10 * n
+    elif not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     mu, consts = equilibrium_for(V) or (None, None)
     if n == 1:
         # V's global minimizer, its critical point of least V, so one start
@@ -202,7 +197,7 @@ def minimize(
     runs = []
     for start in range(multistart):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
-        x0 = jittered(base, 0.2, rng) if start > 0 else base
+        x0 = base if start == 0 and np.all(V.deriv2(base) >= 0) else jittered(base, 0.2, rng)
         pts, gn, its, ok, trace = _descend(x0, V, n, tol, max_iter)
         runs.append((energy(Configuration(pts), V), gn, pts, its, ok, trace))
     # lowest final energy wins, ties to the smaller gradient, then the earlier start

@@ -106,6 +106,13 @@ def breakdown(
     )
 
 
+def check_window(x0: float, R: float) -> None:
+    """ValueError unless the count window (x0, R) has a finite centre x0
+    and a finite radius R > 0."""
+    if not (math.isfinite(x0) and math.isfinite(R) and R > 0):
+        raise ValueError(f"window (x0, R) = ({x0}, {R}) needs a finite x0 and a finite R > 0")
+
+
 def discrepancy(
     config: Configuration,
     mu: EquilibriumMeasure,
@@ -118,8 +125,7 @@ def discrepancy(
     [x0 - R/n, x0 + R/n] minus n times the mu-mass of the same interval.
     Boundary points count fully.
     """
-    if R <= 0:
-        raise ValueError("window radius must be positive")
+    check_window(x0, R)
     n = config.n
     r = R / n
     lo, hi = x0 - r, x0 + r

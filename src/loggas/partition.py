@@ -26,8 +26,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConvergenceError
+from .fekete import minimize
 from .hamiltonian import Configuration, energy
 from .model import ModelConstants, Potential, blend, quadratic
+from .sampler import SamplerConfig, run_many
 
 __all__ = [
     "PartitionReport",
@@ -56,8 +58,8 @@ def mehta_log_z(n: int, beta: float) -> float:
     at gamma = beta/2, all evaluated through log-gamma so that the
     n(n-1) beta/4 exponents never overflow.
     """
-    if n < 1 or beta <= 0:
-        raise ValueError("need n >= 1 and beta > 0")
+    if n < 1 or not 0 < beta < math.inf:
+        raise ValueError(f"need n >= 1 and a finite beta > 0, got n = {n}, beta = {beta}")
     g = beta / 2.0
     jac = (n / 2.0 + beta * n * (n - 1) / 4.0) * math.log(2.0 / (beta * n))
     mehta = (n / 2.0) * math.log(2.0 * math.pi) + float(
@@ -88,12 +90,10 @@ def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
     """
     if n not in (1, 2, 3):
         raise ValueError("tensor quadrature supports n in {1, 2, 3}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     if V is None:
         V = quadratic()
-    from .fekete import minimize
-
     ground = minimize(n, V, seed=0, multistart=1).config
     w_ref = energy(ground, V)
     p = max(2.0, 1.0 / beta)
@@ -156,8 +156,6 @@ def thermo_log_z(
     samples than it has error-bar blocks, and ConvergenceError if any
     node's chains fail the R-hat check.
     """
-    from .sampler import SamplerConfig, run_many
-
     ref = quadratic()
     t_nodes, t_weights = np.polynomial.legendre.leggauss(grid)
     t_nodes = 0.5 * (t_nodes + 1.0)

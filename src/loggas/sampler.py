@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fekete import jittered, minimize, quantile_start
-from .hamiltonian import Configuration, energy
+from .hamiltonian import Configuration, check_window, energy
 from .model import Potential, equilibrium_for, horner, zeta
 
 __all__ = ["SamplerConfig", "GasStatistics", "run", "run_many", "metropolis_accept"]
@@ -63,8 +63,8 @@ class SamplerConfig:
     windows: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.burn_in < 1 or self.thinning < 1:
             raise ValueError("burn_in and thinning must be at least 1")
         if self.chains < 1 or self.steps < 1:
@@ -72,8 +72,7 @@ class SamplerConfig:
         if self.steps < self.thinning:
             raise ValueError("steps must be at least thinning, so that each chain keeps a sample")
         for x0, R in self.windows:
-            if not (math.isfinite(x0) and math.isfinite(R) and R > 0):
-                raise ValueError(f"window (x0, R) = ({x0}, {R}) needs a finite x0 and a finite R > 0")
+            check_window(x0, R)
 
     def replaced(self, **kw) -> "SamplerConfig":
         return dataclasses.replace(self, **kw)

@@ -46,11 +46,12 @@ def test_renorm_non_finite_stdin_exits_one(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["equilibrium", "--n", "0"],
                                   ["equilibrium", "--tol", "0"],
+                                  ["fekete", "--n", "3", "--tol", "0"],
                                   ["sample", "--n", "4", "--beta", "2", "--steps", "0"],
                                   ["sample", "--n", "4", "--beta", "2", "--chains", "0"],
                                   ["verify-field", "--n", "0", "--tol", "0"]],
-                         ids=["equilibrium-n", "equilibrium-tol", "sample-steps", "sample-chains",
-                              "verify-field-tol"])
+                         ids=["equilibrium-n", "equilibrium-tol", "fekete-tol", "sample-steps",
+                              "sample-chains", "verify-field-tol"])
 def test_zero_valued_flags_reach_the_library(argv, capsys):
     # a zero is passed on as given, not replaced by a default; verify-field
     # fails its threshold (lattice-1 has a relative error of 7e-5 > 0) and
@@ -58,6 +59,18 @@ def test_zero_valued_flags_reach_the_library(argv, capsys):
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") == (argv[0] != "verify-field")
+
+
+@pytest.mark.parametrize("argv", [["sample", "--n", "3", "--beta", "nan", "--steps", "100"],
+                                  ["sample", "--n", "3", "--beta", "inf", "--steps", "100"],
+                                  ["partition", "--n", "3", "--beta", "nan"],
+                                  ["partition-sweep", "--n", "3", "--beta", "2,inf"]],
+                         ids=["sample-nan", "sample-inf", "partition-nan", "partition-sweep-inf"])
+def test_non_finite_beta_exits_one(argv, capsys):
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_verify_field_negative_count_exits_one(capsys):

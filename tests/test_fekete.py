@@ -5,7 +5,9 @@ import pytest
 
 from scipy.special import roots_hermite
 
-from loggas import double_well, gradient, hermite_oracle, minimize, polynomial, quadratic, quartic
+from loggas import (double_well, energy, gradient, hermite_oracle, minimize, polynomial, quadratic, quartic,
+                    semicircle_equilibrium)
+from loggas.fekete import quantile_start
 
 V2 = quadratic()
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -119,6 +121,39 @@ def test_nonconvex_and_quartic_converge(V, n):
     assert np.max(np.abs(gradient(res.config, V))) <= 1e-10 * n
     trace = np.asarray(res.energy_trace)
     assert np.all(np.diff(trace) <= 1e-14 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 31])
+def test_double_well_first_start_leaves_the_saddle(n):
+    # the double well's quantile start keeps the middle point of odd n at
+    # 0, a saddle of w_n; jittered, one start reaches the three-start minimum
+    V = double_well()
+    one, three = minimize(n, V, multistart=1), minimize(n, V, multistart=3)
+    assert one.converged
+    assert energy(one.config, V) == pytest.approx(energy(three.config, V), rel=1e-9)
+    if n == 3:
+        assert one.iterations <= 10
+
+
+def test_first_start_is_jittered_exactly_where_v_is_not_convex():
+    # the seed only draws jitter, so it moves the single start of the
+    # double well (V'' < 0 near 0) and not that of the convex quartic
+    def pts(V, seed):
+        return minimize(8, V, seed=seed, multistart=1).config.points
+
+    assert np.array_equal(pts(quartic(), 0), pts(quartic(), 1))
+    assert not np.array_equal(pts(double_well(), 0), pts(double_well(), 1))
+
+
+def test_quantile_start_without_a_closed_form_is_the_semicircle():
+    for n in (1, 2, 17):
+        assert np.array_equal(quantile_start(n, None), semicircle_equilibrium().quantiles(n))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError):
+        minimize(3, V2, tol=tol)
 
 
 def test_minimizer_support_near_equilibrium():

@@ -145,6 +145,14 @@ def test_discrepancy_conventions():
         discrepancy(cfg, MU, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("window", [(0.0, 0.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                    (math.inf, 1.0)])
+def test_discrepancy_rejects_bad_windows(window):
+    # the window check of SamplerConfig: a NaN centre or radius would return nan
+    with pytest.raises(ValueError):
+        discrepancy(Configuration(np.array([-1.0, 0.0, 1.0])), MU, *window)
+
+
 def test_discrepancy_quantiles_balanced():
     # quantile points track the measure: every window within one particle
     n = 64

@@ -60,6 +60,21 @@ def test_quadrature_rejects_large_n():
         quadrature_log_z(4, 1.0, V2)
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_beta_must_be_finite_and_positive(beta, monkeypatch):
+    # each route raises where beta enters, before any quadrature rule or chain runs
+    def no_chains(cfgs):
+        raise AssertionError("chains ran")
+
+    monkeypatch.setattr("loggas.partition.run_many", no_chains)
+    cfg = SamplerConfig(n=2, beta=2.0, V=quartic(), steps=100, burn_in=100, thinning=5, chains=2)
+    for route in (lambda: mehta_log_z(3, beta), lambda: quadrature_log_z(2, beta),
+                  lambda: thermo_log_z(2, beta, quartic()),
+                  lambda: thermo_log_z(2, beta, quartic(), sampler_cfg=cfg, grid=2)):
+        with pytest.raises(ValueError, match="beta"):
+            route()
+
+
 def test_laplace_slope_two_particles():
     # -2 dlogZ/dbeta -> min w_2 = 1 - log 2 as beta grows
     w_min = 1.0 - math.log(2.0)

@@ -245,8 +245,9 @@ def test_kernel_output_pinned():
     # 11,000 steps cross a 4096-step chunk boundary, two burn-in
     # adaptations and an energy audit. Any change to the step kernel's
     # arithmetic or to the order of its draws changes the digests, and so
-    # does any rounding-level change to the starts: the semicircle
-    # quantiles and the Fekete set of chain 0.
+    # does any change to the starts: the semicircle quantiles (every V
+    # without a closed form starts from them too) and the Fekete set of
+    # chain 0.
     Q = quartic()
     base = SamplerConfig(n=8, beta=2.0, V=V2, steps=10_000, burn_in=1_000, thinning=10, chains=2, seed=4)
     assert _digest(run(base)) == "23cc64233cf9d0899fea3955c6be776191d1a45ab30229997b74a93e594b3c6b"
@@ -258,9 +259,9 @@ def test_kernel_output_pinned():
         base.replaced(beta=1.0, V=blend(V2, Q, 0.8), chains=1, seed=5),
     ]
     assert [_digest(s) for s in run_many(ladder)] == [
-        "5620b443028c692f05ef6c71e5d992ca17ece6e22c7100c7ec47e7a8bd3a04d8",
+        "eb9fc9d17e689129a33bd800a2f4aae1ae225dffc4cc3169995f099d60df1487",
         "cb4e2c4652c9462776e64fd45cf0cffabb31f599417252ef26df676f4aadab08",
-        "324bd5c9be3362d8e859f711105eebd48b1ea714216756e012c49ea600404f90",
+        "5557c007af67cbea2c3779a60ba249ce5295bfae5c61674348e263fde5dfac83",
     ]
 
 
@@ -299,8 +300,9 @@ def test_spacings_need_a_closed_form():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(n=4, beta=0.0, V=V2)
+    for beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            SamplerConfig(n=4, beta=beta, V=V2)
     with pytest.raises(ValueError):
         SamplerConfig(n=4, beta=1.0, V=V2, burn_in=0)
     with pytest.raises(ValueError):
