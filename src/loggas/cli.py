@@ -96,26 +96,12 @@ def _emit(args, res: Result) -> int:
 # subcommands
 
 
-#: times `_solve_equilibrium` doubles a bracket that the support overflows
-BRACKET_DOUBLINGS = 3
-
-
 def _solve_equilibrium(V: model_mod.Potential, n_nodes: int = 2000, tol: float = 1e-3):
-    """Equilibrium measure of V on [-R, R] and its constants.
-
-    R starts at V's growth-check radius. While mass piles up on the grid
-    ends (BracketError), R doubles, at most BRACKET_DOUBLINGS times, with
-    the same node count; the last BracketError propagates.
-    """
+    """Equilibrium measure of V on linspace(-R, R, n_nodes), R = `V.growth_check_radius`, and its
+    constants. One solve: c <= F(uniform on [-1, 1]) - min V / 2, a support point x of largest
+    modulus has V(x)/2 - log(2|x|) <= c, and log(2t) < t, so R bounds the support."""
     R = V.growth_check_radius
-    for doublings in range(BRACKET_DOUBLINGS + 1):
-        try:
-            mu = model_mod.solve_equilibrium(V, np.linspace(-R, R, n_nodes), tol=tol)
-            break
-        except BracketError:
-            if doublings == BRACKET_DOUBLINGS:
-                raise
-            R *= 2.0
+    mu = model_mod.solve_equilibrium(V, np.linspace(-R, R, n_nodes), tol=tol)
     return mu, model_mod.model_constants(mu, V)
 
 

@@ -6,7 +6,7 @@ class DegenerateConfigError(ValueError):
 
 
 class BracketError(ValueError):
-    """The grid bracket is too small: equilibrium mass piles up on its endpoints."""
+    """The grid bracket is too small: an end node carries equilibrium mass."""
 
 
 class ConvergenceError(RuntimeError):

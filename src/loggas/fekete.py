@@ -184,11 +184,8 @@ def minimize(
         raise ValueError(f"tol must be positive, got {tol}")
     mu, consts = equilibrium_for(V) or (None, None)
     if n == 1:
-        # V's global minimizer, its critical point of least V, so one start
-        # suffices; the real parts of all roots of V', as a multiple root
-        # comes back with a small imaginary part
-        x = np.polynomial.polynomial.polyroots(V.deriv_coeffs[0]).real
-        base = x[[int(np.argmin(V.eval(x)))]]
+        # V's global minimizer (`Potential.argmin`), so one start suffices
+        base = np.array([V.argmin])
         multistart = 1
     else:
         base = quantile_start(n, mu)

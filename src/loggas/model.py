@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -87,14 +87,13 @@ class Potential:
         must be finite, and V must confine (V(x)/2 - log|x| -> infinity):
         an even degree of at least 2 with a positive leading coefficient.
         Anything else raises ValueError.
-    growth_check_radius : float
-        Radius R of the first bracket [-R, R] of an equilibrium solve.
     label : str
         Short human-readable name, for display only; not compared.
+
+    V', V'', `argmin` and the support bound `growth_check_radius` derive from coeffs.
     """
 
     coeffs: tuple[float, ...]
-    growth_check_radius: float
     label: str = field(default="polynomial", compare=False)
 
     def __post_init__(self):
@@ -114,6 +113,31 @@ class Potential:
         """Ascending coefficients of V' and V'', the one differentiation of V."""
         d1 = tuple(k * c for k, c in enumerate(self.coeffs))[1:]
         return d1, tuple(k * c for k, c in enumerate(d1))[1:]
+
+    @cached_property
+    def argmin(self) -> float:
+        """V's global minimizer: of the real parts of the roots of V' (a
+        multiple root comes back slightly complex), the one of least V."""
+        x = np.polynomial.polynomial.polyroots(self.deriv_coeffs[0]).real
+        return float(x[np.argmin(self.eval(x))])
+
+    @cached_property
+    def growth_check_radius(self) -> float:
+        """R with supp mu0 inside [-R, R], from the coefficients alone (Saff
+        and Totik, Logarithmic Potentials with External Fields, Thm I.1.3).
+
+        Put K = 3/2 - log 2 + sum_{k even} c_k/(k+1) - (min V)/2; all but the
+        last term is F of the uniform law on [-1, 1]. Then c = F(mu0) - (1/2)
+        int V dmu0 <= K; a support point x of largest modulus has V(x)/2 -
+        log(2|x|) <= c; and log(2t) < t for t > 0. So V(x)/2 - |x| - K < 0,
+        and the largest |Re z| over the roots z of V/2 -+ x - K bounds |x|.
+        """
+        P = np.polynomial.polynomial
+        uniform_F = 1.5 - math.log(2.0) + sum(c / (k + 1) for k, c in enumerate(self.coeffs) if k % 2 == 0)
+        half = np.array(self.coeffs) / 2.0
+        half[0] -= uniform_F - float(self.eval(self.argmin)) / 2.0
+        roots = np.concatenate([P.polyroots(P.polyadd(half, [0.0, s])) for s in (-1.0, 1.0)])
+        return float(np.max(np.abs(roots.real)))
 
     @cached_property
     def _columns(self) -> tuple:
@@ -143,33 +167,29 @@ def polynomial(coeffs: Sequence[float]) -> Potential:
     Raises ValueError for non-finite coefficients or a V that does not
     confine (see `Potential`).
     """
-    return Potential(tuple(coeffs), growth_check_radius=8.0)
+    return Potential(tuple(coeffs))
 
 
 def quadratic() -> Potential:
     """The canonical quadratic model V(x) = x^2/2 (semicircle equilibrium)."""
-    return replace(polynomial(SEMICIRCLE_V), growth_check_radius=4.0, label="quadratic")
+    return Potential(SEMICIRCLE_V, label="quadratic")
 
 
 def quartic() -> Potential:
     """V(x) = x^4/4."""
-    return replace(polynomial([0.0, 0.0, 0.0, 0.0, 0.25]), growth_check_radius=4.0, label="quartic")
+    return Potential((0.0, 0.0, 0.0, 0.0, 0.25), label="quartic")
 
 
 def double_well() -> Potential:
     """V(x) = x^4/4 - x^2 (two symmetric wells)."""
-    return replace(polynomial([0.0, 0.0, -1.0, 0.0, 0.25]), growth_check_radius=6.0, label="double-well")
+    return Potential((0.0, 0.0, -1.0, 0.0, 0.25), label="double-well")
 
 
 def blend(a: Potential, b: Potential, t: float) -> Potential:
     """The polynomial (1-t) a + t b, blended coefficient by coefficient."""
     size = max(len(a.coeffs), len(b.coeffs))
     ca, cb = (np.pad(V.coeffs, (0, size - len(V.coeffs))) for V in (a, b))
-    return Potential(
-        tuple((1.0 - t) * ca + t * cb),
-        growth_check_radius=max(a.growth_check_radius, b.growth_check_radius),
-        label=f"blend({a.label},{b.label},{t:g})",
-    )
+    return Potential(tuple((1.0 - t) * ca + t * cb), label=f"blend({a.label},{b.label},{t:g})")
 
 
 BUILTIN_POTENTIALS: dict[str, Callable[[], Potential]] = {
@@ -489,7 +509,7 @@ def solve_equilibrium(
     Raises
     ------
     BracketError
-        If mass piles up on the grid endpoints (support exceeds bracket).
+        If an end node carries mass; see `Potential.growth_check_radius`.
     ConvergenceError
         If the residual is still above `tol` after `max_iter` iterations.
     """
@@ -506,20 +526,15 @@ def solve_equilibrium(
     w = np.full(M, 1.0 / M)
     g = 2.0 * (K @ w) + Vn
 
-    # spectral norm estimate for the first step
-    z = np.cos(np.arange(M))
-    for _ in range(20):
-        z = K @ z
-        z /= np.linalg.norm(z)
-    step = 1.0 / (2.0 * abs(float(z @ (K @ z))) + 1.0)
+    # K is symmetric, so its spectral norm is at most its largest absolute row sum
+    step = 1.0 / (2.0 * float(np.max(np.sum(np.abs(K), axis=1))) + 1.0)
 
-    def residual_and_c(wv):
+    def residual(wv):
         sup = wv > 1e-10
         if sup.sum() < 4:
-            return np.inf, 0.0, sup
+            return np.inf
         r = K @ wv + Vn / 2.0
-        c = _robin_constant(r, wv)
-        return float(np.max(np.abs(r[sup] - c))), c, sup
+        return float(np.max(np.abs(r[sup] - _robin_constant(r, wv))))
 
     res = np.inf
     iterations = 0
@@ -530,23 +545,20 @@ def solve_equilibrium(
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-300:
-            step = float(s @ s) / sy
-            step = min(max(step, 1e-12), 1e6)
+            step = min(max(float(s @ s) / sy, 1e-12), 1e6)
         else:
             step *= 1.5
         w, g = w_new, g_new
         if iterations % 25 == 0 or iterations == max_iter:
-            res, _, _ = residual_and_c(w)
+            res = residual(w)
             if res < tol:
                 break
-    res, c, sup = residual_and_c(w)
+    # res is this w's, from the last check
+    sup = w > 1e-10
 
-    # endpoint pile-up means the true support leaks out of the bracket
-    w_interior = np.median(w[sup]) if sup.any() else 0.0
-    if w[0] > max(10.0 * w_interior, 1e-6) or w[-1] > max(10.0 * w_interior, 1e-6):
-        raise BracketError(
-            "equilibrium mass accumulates on the grid endpoints; enlarge the bracket"
-        )
+    # mass on an end node means the true support may leak out of the bracket
+    if sup[0] or sup[-1]:
+        raise BracketError(f"equilibrium mass sits on the grid ends [{nodes[0]:g}, {nodes[-1]:g}]")
     if res >= tol:
         raise ConvergenceError(
             f"equilibrium solver stalled at residual {res:.3e} (tol {tol:.1e})",

@@ -152,7 +152,8 @@ def thermo_log_z(
     node's chains run in one lockstep array (`run_many`). Returns
     (estimate, error bar); the error bar propagates the block-mean
     variance of each node through the quadrature weights.
-    Raises ValueError, before any chain runs, if a chain would keep fewer
+    Raises ValueError, before any chain runs, if a given `sampler_cfg` has
+    another n or beta than the arguments or a chain would keep fewer
     samples than it has error-bar blocks, and ConvergenceError if any
     node's chains fail the R-hat check.
     """
@@ -164,6 +165,9 @@ def thermo_log_z(
     if sampler_cfg is None:
         sampler_cfg = SamplerConfig(n=n, beta=beta, V=V, steps=20_000, burn_in=4_000,
                                     thinning=5, chains=2, seed=9000)
+    elif (sampler_cfg.n, sampler_cfg.beta) != (n, beta):
+        raise ValueError(f"sampler_cfg has n={sampler_cfg.n}, beta={sampler_cfg.beta}"
+                         f" but log Z is asked at n={n}, beta={beta}")
     kept, blocks = sampler_cfg.steps // sampler_cfg.thinning, _blocks_per_chain(sampler_cfg.chains)
     if kept < blocks:
         raise ValueError(f"each chain keeps {kept} samples, fewer than its {blocks} error-bar blocks")

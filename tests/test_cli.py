@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loggas import BracketError, mehta_log_z, polynomial, quartic, solve_equilibrium
+from loggas import mehta_log_z, polynomial, quartic, solve_equilibrium
 from loggas.cli import dispatch
 from loggas.model import measure_from_json
 
@@ -171,21 +171,29 @@ def test_equilibrium_output(tmp_path):
     assert mu.support[0][0] == pytest.approx(-2.0, abs=0.1)
 
 
-def test_equilibrium_doubles_a_bracket_the_support_overflows(tmp_path, capsys):
-    # the support of 1e-4 x^4 is about [-10.7, 10.7], past the bracket [-8, 8] of polynomial()
+def test_equilibrium_brackets_the_support_from_the_coefficients(tmp_path, capsys):
+    # the support of 1e-4 x^4 is about [-10.7, 10.7]; one solve on the derived [-R, R] holds it
     V = polynomial([0.0, 0.0, 0.0, 0.0, 1e-4])
-    with pytest.raises(BracketError):
-        solve_equilibrium(V, np.linspace(-8.0, 8.0, 600))
+    R = V.growth_check_radius
     assert dispatch(["equilibrium", "--coeffs", "0,0,0,0,0.0001", "--n", "600", "--out", str(tmp_path)]) == 0
     mu, consts = measure_from_json((tmp_path / "measure.json").read_text())
-    assert (mu.nodes[0], mu.nodes[-1]) == (-16.0, 16.0)
+    assert (mu.nodes[0], mu.nodes[-1]) == (-R, R)
     assert mu.support[0][0] == pytest.approx(-10.7, abs=0.2) and mu.support[0][1] == pytest.approx(10.7, abs=0.2)
     assert mu.residual < 1e-3 and mu.iterations > 0
-    # a V whose support fits keeps its bracket and its output bit for bit
+    # the command is the library solve on that grid, bit for bit
     assert dispatch(["equilibrium", "--potential", "quartic", "--n", "600"]) == 0
     mu, _ = measure_from_json(capsys.readouterr().out)
-    direct = solve_equilibrium(quartic(), np.linspace(-4.0, 4.0, 600))
+    R = quartic().growth_check_radius
+    direct = solve_equilibrium(quartic(), np.linspace(-R, R, 600))
     assert np.array_equal(mu.nodes, direct.nodes) and np.array_equal(mu.weights, direct.weights)
+
+
+def test_equilibrium_of_a_shifted_quadratic(capsys):
+    # (x - 100)^2 / 2: the semicircle moved to [98, 102], so F is still 3/4
+    assert dispatch(["equilibrium", "--coeffs", "5000,-100,0.5"]) == 0
+    mu, consts = measure_from_json(capsys.readouterr().out)
+    assert mu.support[0][0] == pytest.approx(98.0, abs=0.3) and mu.support[0][1] == pytest.approx(102.0, abs=0.3)
+    assert consts.mean_field_energy == pytest.approx(0.75, abs=0.01)
 
 
 def test_sample_outputs(tmp_path):

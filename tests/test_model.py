@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from loggas import (
     BUILTIN_POTENTIALS,
+    BracketError,
     blend,
     double_well,
     equilibrium_for,
@@ -206,7 +207,9 @@ def test_potentials():
         assert len(make().coeffs) % 2 == 1 and make().coeffs[-1] > 0.0, name
     # trailing zeros are trimmed, and the label is not compared
     assert polynomial([1.0, 0.0, 2.0, 0.0, -0.0]).coeffs == (1.0, 0.0, 2.0)
-    assert polynomial([0.0, 0.0, 0.5]) == dataclasses.replace(V2, growth_check_radius=8.0, label="x")
+    # a potential is its coefficients: the label is its only other field
+    assert [f.name for f in dataclasses.fields(V2)] == ["coeffs", "label"]
+    assert polynomial([0.0, 0.0, 0.5]) == V2 and hash(polynomial([0.0, 0.0, 0.5])) == hash(V2)
     # linear growth cannot beat the log; an odd degree, a negative leading
     # coefficient or a constant does not confine either
     for coeffs in ([1.0, -2.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -0.5], [3.0], [], [0.0, 0.0, 0.5, 0.0, 0.0, 0.0, -1e-9]):
@@ -267,6 +270,48 @@ def test_solved_support_is_the_closed_hull_of_the_density(V, grid):
     assert mu.interval_mass(lo, hi) == pytest.approx(1.0, abs=1e-12)
     assert mu.density(np.nextafter(lo, -np.inf)) == 0.0 and mu.density(np.nextafter(hi, np.inf)) == 0.0
     assert mu.density(lo) > 0.0 and mu.density(np.nextafter(hi, -np.inf)) > 0.0
+
+
+# (V, known support edges or None); the double well x^4/4 - x^2 is the
+# critical case whose density sqrt(4 - x^2) x^2 / (2 pi) vanishes at 0
+BRACKET_CASES = [
+    (V2, (-2.0, 2.0)),
+    (quartic(), (-(16.0 / 3.0) ** 0.25, (16.0 / 3.0) ** 0.25)),
+    (double_well(), (-2.0, 2.0)),
+    (polynomial([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0 / 6.0]), None),
+    (polynomial([0.0, 0.0, 0.0, 0.0, 1e-4]), (-(4e4 / 3.0) ** 0.25, (4e4 / 3.0) ** 0.25)),
+    (polynomial([5000.0, -100.0, 0.5]), (98.0, 102.0)),
+    (polynomial([0.0, 0.3, -0.5, 0.1, 0.2]), None),
+    (polynomial([0.0, 0.0, -3.0, 0.0, 0.25]), None),
+]
+
+
+@pytest.mark.parametrize("V, edges", BRACKET_CASES, ids=[str(V.coeffs) for V, _ in BRACKET_CASES])
+def test_derived_bracket_holds_the_support(V, edges):
+    R = V.growth_check_radius
+    grid = np.linspace(-R, R, 2000)
+    mu = solve_equilibrium(V, grid)
+    assert mu.weights[0] == 0.0 and mu.weights[-1] == 0.0
+    if edges is not None:
+        cell = grid[1] - grid[0]
+        assert mu.support[0][0] == pytest.approx(edges[0], abs=2 * cell)
+        assert mu.support[0][1] == pytest.approx(edges[1], abs=2 * cell)
+
+
+def test_derived_radii_and_minimizers():
+    # R from the coefficients alone; the shifted x^2/2 pays for its shift
+    radii = [V.growth_check_radius for V in (V2, quartic(), double_well(), polynomial([5000.0, -100.0, 0.5]))]
+    assert radii == pytest.approx([4.810, 2.229, 2.808, 244.856], abs=1e-3)
+    assert V2.argmin == 0.0 and polynomial([5000.0, -100.0, 0.5]).argmin == pytest.approx(100.0, rel=1e-12)
+    assert abs(double_well().argmin) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_support_on_an_end_node_raises():
+    # x^2/2 shifted to 100 has its support at [98, 102], far right of [-8, 8]
+    with pytest.raises(BracketError, match="grid ends"):
+        solve_equilibrium(polynomial([5000.0, -100.0, 0.5]), np.linspace(-8.0, 8.0, 2000))
+    with pytest.raises(BracketError):
+        solve_equilibrium(V2, np.linspace(-1.5, 1.5, 600))
 
 
 def test_measure_json_roundtrip():

@@ -173,6 +173,19 @@ def test_thermo_rejects_fewer_samples_than_blocks():
         thermo_log_z(2, 2.0, quartic(), sampler_cfg=cfg, grid=2)
 
 
+def test_thermo_rejects_a_config_at_another_n_or_beta(monkeypatch):
+    # the chains would sample cfg's gas while the reference and weight use the arguments
+    def no_chains(cfgs):
+        raise AssertionError("chains ran")
+
+    monkeypatch.setattr("loggas.partition.run_many", no_chains)
+    cfg = SamplerConfig(n=2, beta=5.0, V=quartic(), steps=2_000, burn_in=500, thinning=5, chains=2, seed=1)
+    with pytest.raises(ValueError, match=r"beta=5\.0.*beta=2\.0"):
+        thermo_log_z(2, 2.0, quartic(), sampler_cfg=cfg, grid=4)
+    with pytest.raises(ValueError, match=r"n=3.*n=2"):
+        thermo_log_z(2, 2.0, quartic(), sampler_cfg=cfg.replaced(n=3, beta=2.0), grid=4)
+
+
 @pytest.fixture(scope="module")
 def thermo_quartic_runs():
     def one(steps, seed):
