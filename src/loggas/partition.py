@@ -75,6 +75,24 @@ def _gauss_axes(lo: np.ndarray, hi: np.ndarray, nodes: int) -> tuple[list, list]
     return [mk + rk * t for mk, rk in zip(m, r)], [rk * wt for rk in r]
 
 
+def _grow_box(log_f, peak: float, a: np.ndarray, b: np.ndarray, beta: float):
+    """The box [a - h, b + h] in (x_1, u_1, ...), u clipped at 0, whose
+    margins h start at 0.5/sqrt(beta) and grow by sqrt(2) while the
+    integrand on a face across that axis exceeds 1e-16 of exp(peak)."""
+    half = np.full(len(a), 0.5 / math.sqrt(beta))
+    for _ in range(30):  # up to 2^15 times the starting margin
+        lo, hi = a - half, b + half
+        lo[1:] = np.maximum(lo[1:], 0.0)
+        # 40 Gauss nodes per axis with both ends added: index 0 and -1 are the faces
+        pts, _ = _gauss_axes(lo, hi, 40)
+        vals = log_f(*np.meshgrid(*map(np.hstack, zip(lo, pts, hi)), indexing="ij", sparse=True))
+        loud = np.array([np.take(vals, [0, -1], axis=k).max() for k in range(len(a))]) >= peak + math.log(1e-16)
+        if not loud.any():
+            return lo, hi
+        half[loud] *= math.sqrt(2.0)
+    raise ConvergenceError("integration box kept growing; V may not confine")
+
+
 def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
     """log Z by a tensor Gauss-Legendre rule over the ordered region, n <= 3.
 
@@ -83,10 +101,13 @@ def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
     order at least 2, smooth enough at u = 0. The integrand is divided by
     its value at the Fekete set, where w_n is least, so no beta can
     underflow or overflow it, and summed one x_1 slab at a time. The box
-    is centred on the Fekete set; each half-width starts at 0.5/sqrt(beta)
-    and grows by sqrt(2) while the integrand on a face across that axis
-    exceeds 1e-16 of the centre value. The nodes per axis double from 40
-    until two rules agree to 1e-11, else ConvergenceError.
+    is centred on the Fekete set (`_grow_box`). The nodes per axis double
+    from 40 until two rules agree to 1e-11, else ConvergenceError.
+
+    An even V whose Fekete set x* is not its own mirror -x*[::-1] has the
+    mirror as a second minimum of the same w_n. When the box is disjoint
+    from its mirror image, that image carries the same integral, and
+    log 2 is added; else one box is grown over both sets.
     """
     if n not in (1, 2, 3):
         raise ValueError("tensor quadrature supports n in {1, 2, 3}")
@@ -97,7 +118,9 @@ def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
     ground = minimize(n, V, seed=0, multistart=1).config
     w_ref = energy(ground, V)
     p = max(2.0, 1.0 / beta)
-    centre = np.concatenate([ground.points[:1], np.diff(ground.points) ** (1.0 / p)])
+
+    def coords(x):
+        return np.concatenate([x[:1], np.diff(x) ** (1.0 / p)])
 
     def log_f(x1, *u):
         # log of exp(-(beta/2)(w_n - w_ref)) prod p u_k^(p-1); x1 and u broadcast
@@ -107,20 +130,20 @@ def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
             w = w - 2.0 * sum(np.log(sum(g[i:j])) for i in range(n) for j in range(i + 1, n))
             return -(beta / 2.0) * (w - w_ref) + sum(math.log(p) + (p - 1.0) * np.log(uk) for uk in u)
 
+    centre = coords(ground.points)
     peak = float(log_f(*centre))
-    half = np.full(n, 0.5 / math.sqrt(beta))
-    for _ in range(30):  # up to 2^15 times the starting half-width
-        lo, hi = centre - half, centre + half
-        lo[1:] = np.maximum(lo[1:], 0.0)
-        # 40 Gauss nodes per axis with both ends added: index 0 and -1 are the faces
-        pts, _ = _gauss_axes(lo, hi, 40)
-        vals = log_f(*np.meshgrid(*map(np.hstack, zip(lo, pts, hi)), indexing="ij", sparse=True))
-        loud = np.array([np.take(vals, [0, -1], axis=k).max() for k in range(n)]) >= peak + math.log(1e-16)
-        if not loud.any():
-            break
-        half[loud] *= math.sqrt(2.0)
-    else:
-        raise ConvergenceError("integration box kept growing; V may not confine")
+    lo, hi = _grow_box(log_f, peak, centre, centre, beta)
+    log_images = 0.0
+    mirror = -ground.points[::-1]
+    if not any(V.coeffs[1::2]) and not np.allclose(mirror, ground.points, rtol=0.0, atol=1e-6):
+        # the image of the box under x -> -x[::-1]: x_1 becomes -x_n, and the u reverse
+        image_lo = np.concatenate([[-(hi[0] + np.sum(hi[1:] ** p))], lo[:0:-1]])
+        image_hi = np.concatenate([[-(lo[0] + np.sum(lo[1:] ** p))], hi[:0:-1]])
+        if np.any((image_hi < lo) | (image_lo > hi)):
+            log_images = math.log(2.0)
+        else:
+            twin = coords(mirror)
+            lo, hi = _grow_box(log_f, peak, np.minimum(centre, twin), np.maximum(centre, twin), beta)
 
     prev = change = math.inf
     for nodes in (40, 80, 160, 320, 640):
@@ -131,7 +154,7 @@ def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
         val = peak + math.log(total)
         change, prev = abs(val - prev), val
         if change <= 1e-11:
-            return math.log(math.factorial(n)) - (beta / 2.0) * w_ref + val
+            return math.log(math.factorial(n)) - (beta / 2.0) * w_ref + val + log_images
     raise ConvergenceError(f"tensor rule did not settle at {nodes} nodes per axis", residual=change)
 
 

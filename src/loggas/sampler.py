@@ -12,8 +12,12 @@ Each chain draws its proposals from its own RNG stream spawned from its
 config's seed (numpy SeedSequence.spawn), in chunks whose sizes do not
 depend on the row count, so runs are bit-reproducible and a chain's
 output is the same whatever chains or configs run beside it. A run owns
-one workspace and each chunk builds its flat site indices and scaled
-steps, so a step allocates no array of n entries. Every statistic, R-hat diagnostic
+one workspace, and each chunk builds its flat site indices, its scaled
+steps and its accept thresholds (`metropolis_accept` as a bound on the
+energy change), so a step allocates no array of n entries and accepts
+each row with one comparison. The accept counts of the adaptation
+windows and of the post-burn-in steps are sums over the chunk's
+(steps, rows) buffer of accept flags. Every statistic, R-hat diagnostic
 included, is then computed from the array of retained samples and their
 energies in one pass (`_statistics`). Each chain's proposal
 scale adapts toward 30-50 percent acceptance during burn-in only; it is
@@ -41,6 +45,7 @@ AUDIT_INTERVAL = 10_000
 AUDIT_RTOL = 1e-8
 ADAPT_WINDOW = 500
 CHUNK = 4096
+LOG_EXP_UNDERFLOW = -1075 * math.log(2)
 
 
 @dataclass(frozen=True)
@@ -116,34 +121,53 @@ class GasStatistics:
     steps_per_s: float
 
 
+def _accept_threshold(beta, u):
+    """-(2/beta) log u, the energy change below which a move with uniform
+    draw `u` is accepted. Broadcasts a per-row `beta` against the columns
+    of a (steps, rows) block of draws.
+
+    log u is floored at log 2^-1075, below which exp rounds to 0: a draw
+    u = 0 then accepts just the moves whose exp(-(beta/2) delta) is
+    positive in floating point, as the exp form of the rule does, not
+    every finite delta.
+    """
+    with np.errstate(divide="ignore"):
+        return (-2.0 / beta) * np.maximum(np.log(u), LOG_EXP_UNDERFLOW)
+
+
 def metropolis_accept(delta, beta: float, u):
     """Accept a move of energy change `delta` given uniform draw `u` in [0, 1).
 
-    Accepts when u < min(1, exp(-(beta/2) delta)), elementwise on arrays;
-    scalar arguments give a bool. A non-finite `delta` is always rejected.
+    Accepts when delta < -(2/beta) log u (`_accept_threshold`), which is
+    u < min(1, exp(-(beta/2) delta)) written as a threshold on delta;
+    elementwise on arrays, and scalar arguments give a bool. A non-finite
+    delta from the kernel is always rejected: +inf and NaN fail `<`, and
+    -inf cannot arise there, since every cached energy is finite.
     """
-    ok = np.isfinite(delta) & (u < np.exp(np.minimum(-0.5 * beta * delta, 0.0)))
+    ok = np.less(delta, _accept_threshold(beta, u))
     return ok if ok.ndim else bool(ok)
 
 
 def _delta_energy(pts: np.ndarray, at: np.ndarray, z: np.ndarray, d: np.ndarray,
                   V: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Change of w_n when row c of `pts` moves its point at flat index at[c] from z[1, c] to z[0, c].
+    """Change of w_n when row c of `pts` moves its point at flat index at[c] from z[1, c, 0] to z[0, c, 0].
 
-    at[rows + c] = at[c] + rows n is that site in d[1] of the (2, rows, n)
-    workspace `d`. `V` maps z.ravel() to V of each row at its two entries,
-    as a `Potential` or `horner` on the run's tiled coefficient columns do.
-    O(n) per row by differencing. A proposal onto an existing point makes a
-    log 0 = -inf term (the caller ignores the divide error), so its change
-    is +inf and it is never accepted.
+    `z` is the (2, rows, 1) column of new and old positions and `d` the
+    (2, rows, n) workspace, both contiguous, so that their `ravel`s are
+    views: at[rows + c] = at[c] + rows n is that site in d[1]. `V` maps
+    z.ravel() to V of each row at its two entries, as a `Potential` or
+    `horner` on the run's tiled coefficient columns do. O(n) per row by
+    differencing. A proposal onto an existing point makes a log 0 = -inf
+    term (the caller ignores the divide error), so its change is +inf and
+    it is never accepted.
     """
     m, n = pts.shape
     # distances of every point to the new (d[0]) and old (d[1]) position;
     # the moved site's own entry is set to 1 so that its log is 0
-    np.abs(np.subtract(pts, z[:, :, None], out=d), out=d)
-    d.reshape(-1)[at] = 1.0
+    np.abs(np.subtract(pts, z, out=d), out=d)
+    d.ravel()[at] = 1.0
     logs = np.add.reduce(np.log(d, out=d), axis=2)
-    v = np.asarray(V(z.reshape(-1)), dtype=float)
+    v = V(z.ravel())
     return -2.0 * (logs[0] - logs[1]) + n * (v[:m] - v[m:])
 
 
@@ -171,10 +195,13 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     energy-cache drift, and the steps per second of each chain.
 
     One workspace per run (z = (xp, xi), the distances d, each row's flat
-    offset in d[0] then d[1]); per chunk, the flat site indices and the
-    steps scale * moves, redone after each burn-in adaptation; and the
-    `_tiled_columns` of the rows' coefficients, over which one `horner`
-    pass gives V of every row at z.
+    offset in d[0] then d[1], a flat view of the points); per chunk, the
+    flat site indices, the steps scale * moves, redone after each burn-in
+    adaptation, the `_accept_threshold`s and a (steps, rows) buffer of
+    accept flags, summed at each adaptation and at the chunk's end into
+    the window and post-burn-in counts; and the `_tiled_columns` of the
+    rows' coefficients, over which one `horner` pass gives V of every row
+    at z.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -209,8 +236,11 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     samples = np.empty((rows, first.steps // thinning, n))
     energies = np.empty(samples.shape[:2])
 
-    z, d, offsets = np.empty((2, rows)), np.empty((2, rows, n)), np.arange(2 * rows) * n
-    xp, xi = z
+    # z[:, c, 0] = (xp, xi) of row c; pf is a flat view of pts, which
+    # pts.sort(axis=1) keeps, since it sorts in place
+    z, d, offsets = np.empty((2, rows, 1)), np.empty((2, rows, n)), np.arange(2 * rows) * n
+    xp, xi = z[:, :, 0]
+    pf = pts.reshape(-1)
 
     total = burn_in + first.steps
     done = 0
@@ -223,29 +253,31 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
             sites = np.stack([rng.integers(0, n, m) for rng in rngs], axis=1)
             at = np.concatenate([sites, sites], axis=1) + offsets
             moves = np.stack([rng.normal(0.0, 1.0, m) for rng in rngs], axis=1)
-            us = np.stack([rng.random(m) for rng in rngs], axis=1)
+            thr = _accept_threshold(beta, np.stack([rng.random(m) for rng in rngs], axis=1))
             dx = scale * moves
+            accs = np.empty((m, rows), dtype=bool)
+            # the burn-in steps of this chunk, and the first step whose
+            # accepts are not yet in window_acc
+            burn, lo = min(m, max(0, burn_in - done)), 0
             for k in range(m):
                 gstep = done + k
                 flat = at[k, :rows]
-                np.take(pts, flat, out=xi, mode="clip")
+                xi[:] = pf[flat]
                 np.add(xi, dx[k], out=xp)
                 delta = _delta_energy(pts, at[k], z, d, V_rows)
-                acc = metropolis_accept(delta, beta, us[k])
-                np.put(pts, flat, np.where(acc, xp, xi))
-                np.add(w, delta, out=w, where=acc)
+                acc = np.less(delta, thr[k], out=accs[k])
+                np.copyto(xi, xp, where=acc)
+                pf[flat] = xi
+                # the energies after the moves, kept where accepted
+                np.copyto(w, np.add(w, delta, out=delta), where=acc)
                 # an accepted move may cross a neighbour; the other rows are
                 # sorted already and have no ties, so sorting leaves them be
                 pts.sort(axis=1)
-                if gstep < burn_in:
-                    window_acc += acc
-                    if (gstep + 1) % ADAPT_WINDOW == 0:
-                        rate = window_acc / ADAPT_WINDOW
-                        scale = np.where(rate > 0.5, scale * 1.3, np.where(rate < 0.3, scale / 1.3, scale))
-                        window_acc[:] = 0
-                        np.multiply(scale, moves[k + 1:], out=dx[k + 1:])
-                else:
-                    accepted += acc
+                if k < burn and (gstep + 1) % ADAPT_WINDOW == 0:
+                    rate = (window_acc + accs[lo:k + 1].sum(axis=0)) / ADAPT_WINDOW
+                    scale = np.where(rate > 0.5, scale * 1.3, np.where(rate < 0.3, scale / 1.3, scale))
+                    window_acc[:], lo = 0, k + 1
+                    np.multiply(scale, moves[k + 1:], out=dx[k + 1:])
                 if (gstep + 1) % AUDIT_INTERVAL == 0:
                     for r, V in enumerate(Vs):
                         w_true = energy(Configuration(pts[r]), V)
@@ -260,6 +292,8 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
                     kept = (gstep - burn_in + 1) // thinning - 1
                     samples[:, kept] = pts
                     energies[:, kept] = w
+            window_acc += accs[lo:burn].sum(axis=0)
+            accepted += accs[burn:].sum(axis=0)
             done += m
     steps_per_s = total / (time.perf_counter() - t0)
     return samples, energies, accepted, scale, drift, steps_per_s

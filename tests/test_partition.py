@@ -3,10 +3,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from loggas import (
     SamplerConfig,
     blend,
+    double_well,
     mehta_log_z,
     minimize,
     model_constants,
@@ -18,6 +20,7 @@ from loggas import (
     semicircle_equilibrium,
     thermo_log_z,
 )
+from loggas.hamiltonian import Configuration, energy
 from loggas.partition import _chain_block_means
 
 V2 = quadratic()
@@ -85,6 +88,30 @@ def test_laplace_slope_two_particles():
     b1, b2 = 100.0, 200.0
     slope_q = -2.0 * (quadrature_log_z(2, b2, V2) - quadrature_log_z(2, b1, V2)) / (b2 - b1)
     assert slope_q == pytest.approx(w_min, abs=0.1)
+
+
+def test_quadrature_counts_both_double_well_minima():
+    # at n = 3 the Fekete set of x^4/4 - x^2 is not its own mirror, and the
+    # mirror set is a second minimum of w_3; at beta = 100 each carries half
+    # of Z. Laplace's value over both, log 3! + log 2 - (beta/2) w*
+    # + (n/2) log 2 pi - (1/2) log det((beta/2) H), is O(1/beta) = 0.004
+    # off; one minimum alone is log 2 = 0.69 low
+    V, n, beta = double_well(), 3, 100.0
+    x = minimize(n, V, seed=0).config.points
+    assert not np.allclose(-x[::-1], x, atol=1e-3)
+    H = -2.0 / (x[:, None] - x[None, :] + np.eye(n)) ** 2
+    np.fill_diagonal(H, 0.0)
+    np.fill_diagonal(H, n * V.deriv2(x) - H.sum(axis=1))
+    sign, logdet = np.linalg.slogdet(0.5 * beta * H)
+    assert sign > 0
+    w_star = energy(Configuration(x), V)
+    laplace = (math.log(math.factorial(n)) + math.log(2.0) - 0.5 * beta * w_star
+               + 0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet)
+    assert quadrature_log_z(n, beta, V) == pytest.approx(laplace, abs=0.02)
+    # at n = 1 both wells are the two minima of V itself, and Z is one integral
+    z, _ = integrate.quad(lambda t: math.exp(-0.5 * beta * V.eval(t)), -4.0, 4.0,
+                          points=[-math.sqrt(2.0), math.sqrt(2.0)], epsabs=0.0, epsrel=1e-13)
+    assert quadrature_log_z(1, beta, V) == pytest.approx(math.log(z), rel=1e-10)
 
 
 def test_next_order_report_fields():

@@ -55,7 +55,7 @@ def test_proposal_onto_existing_point_rejected():
     # index is 0 in pts and d[0], and 3 in d[1]
     pts = np.array([[-0.5, 0.1, 0.9]])
     with np.errstate(divide="ignore"):
-        delta = _delta_energy(pts, np.array([0, 3]), np.array([[0.1], [-0.5]]), np.empty((2, 1, 3)), V2)[0]
+        delta = _delta_energy(pts, np.array([0, 3]), np.array([[[0.1]], [[-0.5]]]), np.empty((2, 1, 3)), V2)[0]
     assert delta == math.inf
     assert not metropolis_accept(delta, 2.0, 0.0)
 
@@ -79,20 +79,25 @@ def test_detailed_balance_three_state_toy():
     beta = 2.0
     rng = np.random.default_rng(12345)
     steps = 1_000_000
-    others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+    others = np.array([[1, 2], [0, 2], [0, 1]])
     picks = rng.integers(0, 2, steps)
     us = rng.random(steps)
-    counts = np.zeros((3, 3), dtype=np.int64)
+    # the proposal and its verdict at every step from each of the three
+    # states, so that the walk itself only looks them up
+    targets = others[:, picks]
+    accepts = metropolis_accept(E[targets] - E[:, None], beta, us)
+    targets, accepts = targets.tolist(), accepts.tolist()
+    counts = [[0] * 3 for _ in range(3)]
     s = 0
     for k in range(steps):
-        t = others[s][picks[k]]
-        if metropolis_accept(float(E[t] - E[s]), beta, float(us[k])):
-            counts[s, t] += 1
+        if accepts[s][k]:
+            t = targets[s][k]
+            counts[s][t] += 1
             s = t
     for i in range(3):
         for j in range(i + 1, 3):
-            diff = abs(int(counts[i, j]) - int(counts[j, i]))
-            sigma = math.sqrt(counts[i, j] + counts[j, i])
+            diff = abs(counts[i][j] - counts[j][i])
+            sigma = math.sqrt(counts[i][j] + counts[j][i])
             assert diff <= 3.0 * sigma, (i, j, counts)
 
 
@@ -262,6 +267,31 @@ def test_kernel_output_pinned():
         "eb9fc9d17e689129a33bd800a2f4aae1ae225dffc4cc3169995f099d60df1487",
         "cb4e2c4652c9462776e64fd45cf0cffabb31f599417252ef26df676f4aadab08",
         "5557c007af67cbea2c3779a60ba249ce5295bfae5c61674348e263fde5dfac83",
+    ]
+
+
+def _accept_digest(stats: GasStatistics) -> str:
+    h = hashlib.sha256(_digest(stats).encode())
+    h.update(np.ascontiguousarray(stats.chain_acceptance, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_accept_counts_pinned():
+    # burn-in 4,700 ends inside the second 4096-step chunk and 200 steps
+    # into an adaptation window, so the burn-in and post-burn-in accept
+    # counts split inside one chunk; the ladder gives each config its own
+    # beta, and one config has a single chain
+    base = SamplerConfig(n=8, beta=2.0, V=V2, steps=6_000, burn_in=4_700, thinning=10, chains=2, seed=4)
+    assert _accept_digest(run(base)) == "3727c1786d8cfc7dbd0a67f15d17a249eb84b21fb2ced3c2f2e6313bad905548"
+    ladder = [
+        base.replaced(beta=5.0, seed=7),
+        base.replaced(beta=0.5, V=quartic(), chains=1, seed=5),
+        base.replaced(beta=20.0, chains=3, seed=11),
+    ]
+    assert [_accept_digest(s) for s in run_many(ladder)] == [
+        "924043e54a88578125e2b47bffcaab2e7461c3892d838fad007b65024b53b219",
+        "1fb7b355dbeb9e0a1efc5b6dfb4588c06f99535e4270c2cb75b8ac0a2c5059e1",
+        "0505cc82aadf917c9d866687c4c9f5316fcad716d520d1c14ff4783ff52298ac",
     ]
 
 
