@@ -2,20 +2,19 @@
 """Sweep beta and watch the gas crystallize.
 
 For each beta, several independently seeded runs record the variance of
-normalized nearest-neighbor spacings in the bulk; every (beta, seed) run
-steps in one lockstep array (`run_many`). Rising beta should
-drive the variance toward zero as the configuration locks onto the
-local lattice. Writes a CSV (beta, seed, spacing_var, acceptance, r_hat)
-plus a per-beta mean summary to stdout.
+normalized nearest-neighbor spacings in the bulk. The runs are the beta
+ladder of the crystallization check (`loggas.verify.crystallization_ladder`),
+all stepped in one lockstep array. Rising beta should drive the variance
+toward zero as the configuration locks onto the local lattice. Writes a
+CSV (beta, seed, spacing_var, acceptance, r_hat) plus a per-beta mean
+summary to stdout.
 """
 
 import argparse
 import csv
 import sys
 
-import numpy as np
-
-from loggas import SamplerConfig, quadratic, run_many
+from loggas.verify import crystallization_ladder
 
 
 def main() -> int:
@@ -28,25 +27,10 @@ def main() -> int:
     args = ap.parse_args()
 
     betas = [float(b) for b in args.betas.split(",")]
-    V = quadratic()
-    cfgs = [
-        SamplerConfig(
-            n=args.n,
-            beta=beta,
-            V=V,
-            steps=args.steps,
-            burn_in=max(2_000, args.steps // 6),
-            thinning=25,
-            chains=2,
-            seed=101 * (s + 1),
-        )
-        for beta in betas
-        for s in range(args.seeds)
-    ]
-    rows = []
-    for cfg, st in zip(cfgs, run_many(cfgs)):
-        rows.append((cfg.beta, cfg.seed, float(np.var(st.spacing_samples)), st.acceptance, st.r_hat))
-        print(f"beta={cfg.beta:<6g} seed={cfg.seed:<4d} spacing_var={rows[-1][2]:.4f}", file=sys.stderr)
+    runs, means = crystallization_ladder(args.n, betas, args.seeds, args.steps)
+    rows = [(cfg.beta, cfg.seed, var, st.acceptance, st.r_hat) for cfg, st, var in runs]
+    for cfg, _, var in runs:
+        print(f"beta={cfg.beta:<6g} seed={cfg.seed:<4d} spacing_var={var:.4f}", file=sys.stderr)
 
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -54,9 +38,8 @@ def main() -> int:
         w.writerows(rows)
 
     print("beta, mean spacing variance over seeds:")
-    for beta in betas:
-        vals = [r[2] for r in rows if r[0] == beta]
-        print(f"  {beta:8g}  {np.mean(vals):.5f}")
+    for beta, mean in zip(betas, means):
+        print(f"  {beta:8g}  {mean:.5f}")
     print(f"wrote {args.out}")
     return 0
 

@@ -97,11 +97,14 @@ def _emit(args, res: Result) -> int:
 
 
 def _solve_equilibrium(V: model_mod.Potential, n_nodes: int = 2000, tol: float = 1e-3):
-    """Equilibrium measure of V on linspace(-R, R, n_nodes), R = `V.growth_check_radius`, and its
-    constants. One solve: c <= F(uniform on [-1, 1]) - min V / 2, a support point x of largest
-    modulus has V(x)/2 - log(2|x|) <= c, and log(2t) < t, so R bounds the support."""
-    R = V.growth_check_radius
-    mu = model_mod.solve_equilibrium(V, np.linspace(-R, R, n_nodes), tol=tol)
+    """Equilibrium measure of V on linspace(x0 - R, x0 + R, n_nodes), and its constants. One solve:
+    x0 = -c_{d-1}/(d c_d), the mean of the roots of V', is 0 for an even V, and the
+    `growth_check_radius` R of V(x0 + y) bounds the support about x0, however far from 0 it lies."""
+    c = V.coeffs
+    x0 = -c[-2] / ((len(c) - 1) * c[-1])
+    P = np.polynomial.Polynomial
+    R = model_mod.polynomial(P(c)(P([x0, 1.0])).coef).growth_check_radius
+    mu = model_mod.solve_equilibrium(V, np.linspace(x0 - R, x0 + R, n_nodes), tol=tol)
     return mu, model_mod.model_constants(mu, V)
 
 

@@ -26,6 +26,9 @@ from .model import EquilibriumMeasure, Potential, equilibrium_for, quadratic, se
 
 __all__ = ["FeketeResult", "minimize", "hermite_oracle"]
 
+#: Newton steps per start before `minimize` gives up on the tolerance
+MAX_ITER = 2000
+
 
 @dataclass(frozen=True)
 class FeketeResult:
@@ -104,10 +107,10 @@ def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.nda
     raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
 
 
-def _descend(x0: np.ndarray, V: Potential, n: int, tol: float,
-             max_iter: int) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Newton iteration on w_n from the ordered start x0. Each step is
-    halved until the points stay ordered and w falls, or rises by at most
+def _descend(x0: np.ndarray, V: Potential, n: int,
+             tol: float) -> tuple[np.ndarray, float, int, bool, list[float]]:
+    """At most MAX_ITER Newton steps on w_n from the ordered start x0. Each
+    is halved until the points stay ordered and w falls, or rises by at most
     rounding noise while the gradient falls; the trace keeps min w so far.
     """
     pts = np.array(x0)
@@ -115,7 +118,7 @@ def _descend(x0: np.ndarray, V: Potential, n: int, tol: float,
     g = gradient(Configuration(pts), V)
     gn = float(np.max(np.abs(g)))
     trace = [w]
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if gn <= tol:
             return pts, gn, it, True, trace
         d = _newton_step(pts, g, V, n)
@@ -136,7 +139,7 @@ def _descend(x0: np.ndarray, V: Potential, n: int, tol: float,
             step *= 0.5
         else:
             return pts, gn, it, False, trace
-    return pts, gn, max_iter, gn <= tol, trace
+    return pts, gn, MAX_ITER, gn <= tol, trace
 
 
 def minimize(
@@ -144,14 +147,13 @@ def minimize(
     V: Potential | None = None,
     seed: int = 0,
     tol: float | None = None,
-    max_iter: int = 2000,
     multistart: int = 3,
 ) -> FeketeResult:
     """Minimize w_n by Newton's method on its full Hessian.
 
     Each step solves with the Hessian, Levenberg-shifted where V is not
     convex, and is halved until it keeps the points ordered and lowers
-    w_n (see `_descend`).
+    w_n, for at most MAX_ITER steps per start (see `_descend`).
 
     Parameters
     ----------
@@ -195,7 +197,7 @@ def minimize(
     for start in range(multistart):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
         x0 = base if start == 0 and np.all(V.deriv2(base) >= 0) else jittered(base, 0.2, rng)
-        pts, gn, its, ok, trace = _descend(x0, V, n, tol, max_iter)
+        pts, gn, its, ok, trace = _descend(x0, V, n, tol)
         runs.append((energy(Configuration(pts), V), gn, pts, its, ok, trace))
     # lowest final energy wins, ties to the smaller gradient, then the earlier start
     _, gn, pts, its, ok, trace = min(runs, key=lambda r: r[:2])

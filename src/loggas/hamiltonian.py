@@ -106,11 +106,19 @@ def breakdown(
     )
 
 
-def check_window(x0: float, R: float) -> None:
-    """ValueError unless the count window (x0, R) has a finite centre x0
-    and a finite radius R > 0."""
+def check_beta(beta: float) -> None:
+    """ValueError unless beta is the inverse temperature of a Gibbs law: 0 < beta < inf."""
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+
+
+def window_bounds(x0: float, R: float, n: int) -> tuple[float, float]:
+    """The closed count window [x0 - R/n, x0 + R/n] of radius R/n around x0
+    at n points; ValueError unless x0 is finite and R finite and > 0."""
     if not (math.isfinite(x0) and math.isfinite(R) and R > 0):
         raise ValueError(f"window (x0, R) = ({x0}, {R}) needs a finite x0 and a finite R > 0")
+    r = R / n
+    return x0 - r, x0 + r
 
 
 def discrepancy(
@@ -122,12 +130,9 @@ def discrepancy(
     """Count fluctuation D(x0, R) over the window of radius R/n around x0.
 
     Counts configuration points in the closed interval
-    [x0 - R/n, x0 + R/n] minus n times the mu-mass of the same interval.
-    Boundary points count fully.
+    [x0 - R/n, x0 + R/n] (`window_bounds`) minus n times the mu-mass of
+    the same interval. Boundary points count fully.
     """
-    check_window(x0, R)
-    n = config.n
-    r = R / n
-    lo, hi = x0 - r, x0 + r
+    lo, hi = window_bounds(x0, R, config.n)
     count = int(np.count_nonzero((config.points >= lo) & (config.points <= hi)))
-    return count - n * mu.interval_mass(lo, hi)
+    return count - config.n * mu.interval_mass(lo, hi)

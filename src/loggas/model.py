@@ -481,6 +481,10 @@ def _log_kernel(nodes: np.ndarray) -> np.ndarray:
 # equilibrium solver
 
 
+#: projected-gradient iterations before `solve_equilibrium` gives up on the tolerance
+MAX_ITER = 5000
+
+
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
@@ -490,12 +494,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
-def solve_equilibrium(
-    V: Potential,
-    grid: np.ndarray,
-    tol: float = 1e-3,
-    max_iter: int = 5000,
-) -> EquilibriumMeasure:
+def solve_equilibrium(V: Potential, grid: np.ndarray, tol: float = 1e-3) -> EquilibriumMeasure:
     """Minimize the discretized mean-field energy over measures on `grid`.
 
     Projected gradient descent on the probability simplex with
@@ -511,7 +510,7 @@ def solve_equilibrium(
     BracketError
         If an end node carries mass; see `Potential.growth_check_radius`.
     ConvergenceError
-        If the residual is still above `tol` after `max_iter` iterations.
+        If the residual is still above `tol` after MAX_ITER iterations.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -538,7 +537,7 @@ def solve_equilibrium(
 
     res = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         w_new = _project_simplex(w - step * g)
         g_new = 2.0 * (K @ w_new) + Vn
         s = w_new - w
@@ -549,7 +548,7 @@ def solve_equilibrium(
         else:
             step *= 1.5
         w, g = w_new, g_new
-        if iterations % 25 == 0 or iterations == max_iter:
+        if iterations % 25 == 0 or iterations == MAX_ITER:
             res = residual(w)
             if res < tol:
                 break

@@ -27,7 +27,7 @@ from scipy.special import gammaln
 
 from .errors import ConvergenceError
 from .fekete import minimize
-from .hamiltonian import Configuration, energy
+from .hamiltonian import check_beta, energy
 from .model import ModelConstants, Potential, blend, quadratic
 from .sampler import SamplerConfig, run_many
 
@@ -38,6 +38,10 @@ __all__ = [
     "thermo_log_z",
     "next_order_report",
 ]
+
+
+#: blocks of the thermodynamic error bar, shared out among the chains
+ERROR_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,9 @@ def mehta_log_z(n: int, beta: float) -> float:
     at gamma = beta/2, all evaluated through log-gamma so that the
     n(n-1) beta/4 exponents never overflow.
     """
-    if n < 1 or not 0 < beta < math.inf:
-        raise ValueError(f"need n >= 1 and a finite beta > 0, got n = {n}, beta = {beta}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n = {n}")
+    check_beta(beta)
     g = beta / 2.0
     jac = (n / 2.0 + beta * n * (n - 1) / 4.0) * math.log(2.0 / (beta * n))
     mehta = (n / 2.0) * math.log(2.0 * math.pi) + float(
@@ -111,8 +116,7 @@ def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
     """
     if n not in (1, 2, 3):
         raise ValueError("tensor quadrature supports n in {1, 2, 3}")
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
+    check_beta(beta)
     if V is None:
         V = quadratic()
     ground = minimize(n, V, seed=0, multistart=1).config
@@ -215,20 +219,19 @@ def thermo_log_z(
     return total, math.sqrt(var)
 
 
-def _chain_block_means(traces: np.ndarray, blocks: int = 16) -> np.ndarray:
-    """Means of about `blocks` consecutive blocks, cut inside each chain's
-    own trace (one row of `traces` per chain), chain by chain.
+def _chain_block_means(traces: np.ndarray) -> np.ndarray:
+    """Means of about ERROR_BLOCKS consecutive blocks, cut inside each
+    chain's own trace (one row of `traces` per chain), chain by chain.
 
-    Each chain gets max(1, blocks // chains) blocks, so no block mixes
-    chains. Block means absorb the residual autocorrelation of a thinned
-    trace.
+    Each chain gets `_blocks_per_chain` blocks, so no block mixes chains.
+    Block means absorb the residual autocorrelation of a thinned trace.
     """
-    per = _blocks_per_chain(len(traces), blocks)
+    per = _blocks_per_chain(len(traces))
     return np.array([np.mean(b) for trace in traces for b in np.array_split(trace, per)])
 
 
-def _blocks_per_chain(chains: int, blocks: int = 16) -> int:
-    return max(1, blocks // chains)
+def _blocks_per_chain(chains: int) -> int:
+    return max(1, ERROR_BLOCKS // chains)
 
 
 def next_order_report(

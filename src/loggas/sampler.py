@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fekete import jittered, minimize, quantile_start
-from .hamiltonian import Configuration, check_window, energy
+from .hamiltonian import Configuration, check_beta, energy, window_bounds
 from .model import Potential, equilibrium_for, horner, zeta
 
 __all__ = ["SamplerConfig", "GasStatistics", "run", "run_many", "metropolis_accept"]
@@ -54,7 +54,7 @@ class SamplerConfig:
 
     `steps` counts post-burn-in steps per chain; `windows` lists the
     (x0, R) count windows, each covering the closed interval of radius
-    R/n around x0 (none gives the one window (0, n)), for a finite x0 and R > 0.
+    R/n around x0 (`window_bounds`; none gives the one window (0, n)).
     """
 
     n: int
@@ -68,16 +68,15 @@ class SamplerConfig:
     windows: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        check_beta(self.beta)
         if self.burn_in < 1 or self.thinning < 1:
             raise ValueError("burn_in and thinning must be at least 1")
-        if self.chains < 1 or self.steps < 1:
-            raise ValueError("need at least one chain and one step")
+        if self.n < 1 or self.chains < 1 or self.steps < 1:
+            raise ValueError("need at least one particle, one chain and one step")
         if self.steps < self.thinning:
             raise ValueError("steps must be at least thinning, so that each chain keeps a sample")
         for x0, R in self.windows:
-            check_window(x0, R)
+            window_bounds(x0, R, self.n)
 
     def replaced(self, **kw) -> "SamplerConfig":
         return dataclasses.replace(self, **kw)
@@ -332,9 +331,8 @@ def _statistics(cfg: SamplerConfig, chain_samples: np.ndarray, chain_energies: n
     windows = cfg.windows or ((0.0, float(n)),)
     count_traces = {}
     for x0, R in windows:
-        x0, r = float(x0), float(R) / n
-        inside = (flat >= x0 - r) & (flat <= x0 + r)
-        count_traces[(x0, float(R))] = inside.sum(axis=1).astype(float)
+        lo, hi = window_bounds(float(x0), float(R), n)
+        count_traces[(float(x0), float(R))] = ((flat >= lo) & (flat <= hi)).sum(axis=1).astype(float)
 
     if consts is not None:
         # nearest-neighbour spacings from the bulk (central half), unfolded by n mu0

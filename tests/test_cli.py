@@ -196,6 +196,22 @@ def test_equilibrium_of_a_shifted_quadratic(capsys):
     assert consts.mean_field_energy == pytest.approx(0.75, abs=0.01)
 
 
+def test_equilibrium_and_partition_are_translation_invariant(capsys):
+    # the bracket is centred on the mean of the roots of V' = x - 100, so
+    # the moved semicircle gets the same cells as x^2/2 itself
+    assert dispatch(["equilibrium", "--coeffs", "5000,-100,0.5"]) == 0
+    mu, consts = measure_from_json(capsys.readouterr().out)
+    assert mu.support[0][0] == pytest.approx(98.0, abs=0.01) and mu.support[0][1] == pytest.approx(102.0, abs=0.01)
+    assert consts.alpha == pytest.approx(0.5, abs=1e-3)
+    assert consts.mean_field_energy == pytest.approx(0.75, abs=1e-3)
+    # Z and F do not move with V, so neither does the next-order term
+    next_order = []
+    for coeffs in (["--coeffs", "5000,-100,0.5"], []):
+        assert dispatch(["partition", "--n", "2", "--beta", "2", *coeffs, "--method", "quadrature"]) == 0
+        next_order.append(json.loads(capsys.readouterr().out)["next_order"])
+    assert next_order[0] == pytest.approx(next_order[1], abs=1e-5)
+
+
 def test_sample_outputs(tmp_path):
     out = tmp_path / "s"
     rc = dispatch(

@@ -7,7 +7,7 @@ from scipy.special import roots_hermite
 
 from loggas import (double_well, energy, gradient, hermite_oracle, minimize, polynomial, quadratic, quartic,
                     semicircle_equilibrium)
-from loggas.fekete import quantile_start
+from loggas.fekete import MAX_ITER, quantile_start
 
 V2 = quadratic()
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -195,8 +195,10 @@ def test_ground_state_next_order_sign():
 
 
 def test_nonconverged_flagged():
-    res = minimize(24, V2, seed=0, max_iter=2, multistart=1)
-    assert not res.converged and res.iterations == 2
+    # no float gradient reaches 1e-300, so the descent stalls when no
+    # halved step lowers w or the gradient, long before MAX_ITER
+    res = minimize(24, V2, seed=0, tol=1e-300, multistart=1)
+    assert not res.converged and 0 < res.iterations < MAX_ITER
     assert res.grad_norm > 0.0
 
 

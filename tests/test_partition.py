@@ -189,7 +189,7 @@ def test_error_blocks_stay_inside_chains():
     # 3 chains of 101 samples, chain c reading c throughout: a block that
     # straddled two chains would have a mean strictly between them
     traces = np.repeat(np.arange(3.0)[:, None], 101, axis=1)
-    assert _chain_block_means(traces, 16).tolist() == [0.0] * 5 + [1.0] * 5 + [2.0] * 5
+    assert _chain_block_means(traces).tolist() == [0.0] * 5 + [1.0] * 5 + [2.0] * 5
 
 
 def test_thermo_rejects_fewer_samples_than_blocks():

@@ -1,10 +1,11 @@
 import dataclasses
+import decimal
 import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
 from loggas import (
@@ -43,11 +44,27 @@ def test_accept_rules():
     ),
     st.floats(0.01, 100.0),
 )
+@example(moves=[(2.0**-52, 1.0 - 2.0**-53)], beta=0.75)  # exp(-(beta/2) delta) rounds to u, yet exceeds it
+@example(moves=[(30.0, 0.0)], beta=50.0)  # delta past the u = 0 floor 2150 log(2) / beta
 def test_accept_matches_rule(moves, beta):
-    expect = [delta <= 0.0 or u < math.exp(-0.5 * beta * delta) for delta, u in moves]
-    assert [metropolis_accept(delta, beta, u) for delta, u in moves] == expect
     deltas, us = (np.array(col) for col in zip(*moves))
-    assert metropolis_accept(deltas, beta, us).tolist() == expect
+    got = metropolis_accept(deltas, beta, us).tolist()
+    assert got == [metropolis_accept(delta, beta, u) for delta, u in moves]
+    for ok, (delta, u) in zip(got, moves):
+        assert _exact_accept(delta, beta, u) in (None, ok)
+
+
+def _exact_accept(delta, beta, u):
+    """u < min(1, exp(-(beta/2) delta)) decided at 50 digits from the exact
+    values of the floats, as delta < T = -(2/beta) log u, with log 0 floored
+    at -1075 log 2 where exp underflows to 0 (`metropolis_accept`). None
+    when delta is within 8 ulp of T: the float threshold rounds three times
+    (log, 2/beta and their product), so there the rule may go either way."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        T = -2 / D(beta) * (D(u).ln() if u > 0 else -1075 * D(2).ln())
+        return None if abs(D(delta) - T) <= 8 * D(2) ** -52 * T else D(delta) < T
 
 
 def test_proposal_onto_existing_point_rejected():
@@ -345,3 +362,9 @@ def test_config_rejects_bad_windows(window):
     # a window of R <= 0 or NaN would count 0 in every sample
     with pytest.raises(ValueError):
         SamplerConfig(n=4, beta=1.0, V=V2, windows=((0.0, 4.0), window))
+
+
+def test_config_rejects_no_particles():
+    # caught where the config is built, before the window bounds divide by n
+    with pytest.raises(ValueError, match="particle"):
+        SamplerConfig(n=0, beta=1.0, V=V2, windows=((0.0, 4.0),))
