@@ -108,19 +108,21 @@ def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.nda
 
 
 def _descend(x0: np.ndarray, V: Potential, n: int,
-             tol: float) -> tuple[np.ndarray, float, int, bool, list[float]]:
+             tol: float) -> tuple[np.ndarray, float, float, int, bool, list[float]]:
     """At most MAX_ITER Newton steps on w_n from the ordered start x0. Each
     is halved until the points stay ordered and w falls, or rises by at most
     rounding noise while the gradient falls; the trace keeps min w so far.
+    Returns the final points, their w_n and gradient sup-norm, the step
+    count, convergence and the trace.
     """
     pts = np.array(x0)
-    w = energy(Configuration(pts), V)
+    w = w_pts = energy(Configuration(pts), V)
     g = gradient(Configuration(pts), V)
     gn = float(np.max(np.abs(g)))
     trace = [w]
     for it in range(MAX_ITER):
         if gn <= tol:
-            return pts, gn, it, True, trace
+            return pts, w_pts, gn, it, True, trace
         d = _newton_step(pts, g, V, n)
         slack = 1e-14 * max(1.0, abs(w))
         step = 1.0
@@ -132,14 +134,14 @@ def _descend(x0: np.ndarray, V: Potential, n: int,
                     g_new = gradient(Configuration(cand), V)
                     gn_new = float(np.max(np.abs(g_new)))
                     if w_new < w or gn_new < gn:
-                        pts, g, gn = cand, g_new, gn_new
+                        pts, w_pts, g, gn = cand, w_new, g_new, gn_new
                         w = min(w, w_new)
                         trace.append(w)
                         break
             step *= 0.5
         else:
-            return pts, gn, it, False, trace
-    return pts, gn, MAX_ITER, gn <= tol, trace
+            return pts, w_pts, gn, it, False, trace
+    return pts, w_pts, gn, MAX_ITER, gn <= tol, trace
 
 
 def minimize(
@@ -197,10 +199,9 @@ def minimize(
     for start in range(multistart):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
         x0 = base if start == 0 and np.all(V.deriv2(base) >= 0) else jittered(base, 0.2, rng)
-        pts, gn, its, ok, trace = _descend(x0, V, n, tol)
-        runs.append((energy(Configuration(pts), V), gn, pts, its, ok, trace))
+        runs.append(_descend(x0, V, n, tol))
     # lowest final energy wins, ties to the smaller gradient, then the earlier start
-    _, gn, pts, its, ok, trace = min(runs, key=lambda r: r[:2])
+    pts, _, gn, its, ok, trace = min(runs, key=lambda r: r[1:3])
     cfg = Configuration(pts)
     bd = breakdown(cfg, V, mu, consts) if mu is not None else None
     return FeketeResult(cfg, gn, its, ok, bd, tuple(trace))

@@ -64,23 +64,88 @@ class EnergyBreakdown:
     zeta_sum: float
 
 
+#: elements in one row block of the pair-difference matrix (256 kB of
+#: doubles), so that a block and its temporaries stay in cache
+BLOCK_ELEMENTS = 1 << 15
+#: rows in one block at most: sqrt(BLOCK_ELEMENTS / 8) = 64, so that the
+#: r x r corner an `energy` block discards is at most a sixteenth of it
+BLOCK_ROWS = math.isqrt(BLOCK_ELEMENTS // 8)
+_CORNER = np.tri(BLOCK_ROWS, dtype=bool)
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of the n-column pair matrix; n <= 64 is one block."""
+    return max(1, min(BLOCK_ELEMENTS // n, BLOCK_ROWS))
+
+
 def energy(config: Configuration, V: Potential) -> float:
-    """w_n with each unordered pair counted twice."""
+    """w_n with each unordered pair counted twice.
+
+    The pair sum is the correctly rounded sum of the terms
+    t = log(x_j - x_i), i < j: the float that `math.fsum` of their list
+    returns, at every n. Rows [a0, a1) of the pair-difference matrix form
+    one block, x[a0:] - x[a0:a1, None], whose corner c <= r is set to 1
+    and so adds log 1 = 0. Each block is summed exactly:
+
+    - frexp gives t = m 2^e with 1/2 <= |m| < 1; a = m 2^27 is a multiple
+      of 2^-26 and splits exactly into h = floor(a), |h| <= 2^27, and
+      f = a - h, a multiple of 2^-26 in [0, 1): t = (h + f) 2^(e-27);
+    - h and f are summed in bins of e (`np.bincount`). A block has fewer
+      than 2^26 terms, so a partial sum of h is an integer below 2^53 in
+      size and one of f a multiple of 2^-26 below 2^26: exact in any order;
+    - bin e gives the two exact floats sum(h) 2^(e-27) and
+      sum(f) 2^(e-27). A gap is a double from 2^-1074 to below 2^1024,
+      and the doubles next to 1 are 1 - 2^-53 and 1 + 2^-52, so a pair
+      log is 0 or has 2^-53 <= |t| < 745: e >= -52, and no part is
+      subnormal.
+
+    One `math.fsum` over every block's parts, about 1,200 floats at
+    n = 1024, rounds the exact total once.
+    """
     pts = config.points
     n = len(pts)
-    i, j = np.triu_indices(n, 1)
-    interaction = -2.0 * math.fsum(np.log(pts[j] - pts[i]).tolist())
+    rows = _block_rows(n)
+    parts = []
+    for a0 in range(0, n, rows):
+        a1 = min(n, a0 + rows)
+        r = a1 - a0
+        t = pts[a0:] - pts[a0:a1, None]
+        np.copyto(t[:, :r], 1.0, where=_CORNER[:r, :r])
+        t = np.log(t, out=t).ravel()
+        e = np.frexp(t, out=(t, None))[1]
+        t *= 2.0 ** 27
+        h = np.floor(t)
+        t -= h
+        e0 = int(e.min())
+        e -= e0
+        sum_h = np.bincount(e, weights=h)
+        k = np.arange(e0 - 27, e0 - 27 + len(sum_h))
+        parts += np.ldexp(sum_h, k).tolist()
+        parts += np.ldexp(np.bincount(e, weights=t), k).tolist()
+    interaction = -2.0 * math.fsum(parts)
     confinement = n * math.fsum(np.asarray(V.eval(pts), dtype=float).tolist())
     return interaction + confinement
 
 
 def gradient(config: Configuration, V: Potential) -> np.ndarray:
-    """Gradient of w_n: component i is -2 sum_{j != i} 1/(x_i - x_j) + n V'(x_i)."""
+    """Gradient of w_n: component i is -2 sum_{j != i} 1/(x_i - x_j) + n V'(x_i).
+
+    Rows [a0, a1) of 1/(x_i - x_j), with inf on the diagonal so that its
+    terms are 0, form one contiguous block. numpy reduces each contiguous
+    row on its own, so a row sums in the same pairwise order, and to the
+    same float, as in the full n x n matrix.
+    """
     pts = config.points
     n = len(pts)
-    diff = pts[:, None] - pts[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return -2.0 * (1.0 / diff).sum(axis=1) + n * np.asarray(V.deriv(pts), dtype=float)
+    rows = _block_rows(n)
+    s = np.empty(n)
+    for a0 in range(0, n, rows):
+        a1 = min(n, a0 + rows)
+        d = pts[a0:a1, None] - pts
+        d.ravel()[a0::n + 1] = np.inf
+        np.divide(1.0, d, out=d)
+        d.sum(axis=1, out=s[a0:a1])
+    return -2.0 * s + n * np.asarray(V.deriv(pts), dtype=float)
 
 
 def breakdown(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from loggas import (
     Configuration,
@@ -16,6 +16,7 @@ from loggas import (
     quartic,
     semicircle_equilibrium,
 )
+from loggas.hamiltonian import BLOCK_ELEMENTS, BLOCK_ROWS
 
 MU = semicircle_equilibrium()
 V2 = quadratic()
@@ -67,6 +68,86 @@ def test_single_point_is_the_confinement(V, x):
     cfg = Configuration(np.array([x]))
     assert energy(cfg, V) == float(V.eval(np.array([x]))[0])
     assert np.array_equal(gradient(cfg, V), V.deriv(np.array([x])))
+
+
+def fsum_energy(pts, V):
+    """The list form of w_n: math.fsum over the n(n-1)/2 pair logs."""
+    n = len(pts)
+    i, j = np.triu_indices(n, 1)
+    return -2 * math.fsum(np.log(pts[j] - pts[i]).tolist()) + n * math.fsum(V(pts).tolist())
+
+
+def full_matrix_gradient(pts, V):
+    """The n x n form of the w_n gradient: row sums of 1/(x_i - x_j)."""
+    diff = pts[:, None] - pts[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return -2.0 * (1.0 / diff).sum(axis=1) + len(pts) * V.deriv(pts)
+
+
+def exactness_cases():
+    rng = np.random.default_rng(2300)
+    r = BLOCK_ROWS
+    cases = {
+        "n1": np.array([0.7]),
+        "n2": np.array([-0.3, 1.9]),
+        # gaps one ulp off 1: pair logs near +-1e-16
+        "gap-1+ulp": np.array([0.0, 1.0 + 2.0 ** -52]),
+        "gap-1-ulp": np.array([0.0, 1.0 - 2.0 ** -53]),
+        "ulp-spaced": 1.0 + 2.0 ** -52 * np.arange(40),
+        "unit-ulp-chain": np.arange(70) * (1.0 + 2.0 ** -52),
+        # a subnormal gap: a pair log near -744
+        "subnormal-gap": np.array([-1.0, 0.0, 5e-324, 1e-300, 2.0]),
+    }
+    # one block's rows -1, +0, +1 and twice; then a width whose rows the
+    # element budget sets (63)
+    for n in (r - 1, r, r + 1, 2 * r, BLOCK_ELEMENTS // r + 3):
+        cases[f"n{n}"] = np.sort(rng.normal(0.0, 1.0, n))
+    for scale in (1e-150, 1e150):
+        cases[f"scale{scale:g}"] = np.sort(rng.normal(0.0, scale, 3 * r // 2))
+    # np.sum rounds these pair logs differently from math.fsum
+    cases["pairwise-witness"] = np.sort(np.random.default_rng(7).normal(0.0, 1.0, 200))
+    return cases
+
+
+CASES = exactness_cases()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_energy_is_the_correctly_rounded_pair_sum(name):
+    pts = CASES[name]
+    assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
+
+
+def test_pairwise_witness_separates_the_sums():
+    # so that a kernel summing pairwise fails the equality on this case
+    pts = CASES["pairwise-witness"]
+    i, j = np.triu_indices(len(pts), 1)
+    t = np.log(pts[j] - pts[i])
+    assert float(np.sum(t)) != math.fsum(t.tolist())
+
+
+def same_gradient(pts):
+    # a subnormal gap overflows 1/(x_i - x_j) on both sides, to the same inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array_equal(gradient(Configuration(pts), V2), full_matrix_gradient(pts, V2),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_gradient_matches_the_full_matrix_form(name):
+    assert same_gradient(CASES[name])
+
+
+SORTED_DISTINCT = st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=3 * BLOCK_ROWS // 2,
+                           unique=True).map(sorted).map(np.array)
+
+
+@settings(deadline=None, max_examples=60)
+@given(SORTED_DISTINCT)
+def test_kernels_match_their_references_on_any_points(pts):
+    assume(np.all(np.diff(pts) > 0))
+    assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
+    assert same_gradient(pts)
 
 
 def test_gradient_zero_at_two_point_minimizer():
