@@ -1,27 +1,45 @@
 """Metropolis sampling of the Gibbs law exp(-(beta/2) w_n) / Z.
 
 Single-site random-walk proposals with O(n) energy updates. All chains of
-every config step in lockstep as one (rows, n) array, one row per chain:
-each step proposes one move per row, and one vectorised energy change,
-accept rule and move serve every row at once. Configs run together
-(`run_many`) share n and the step counts; each row keeps its config's
-beta, V and seed. V of every row is one Horner pass (`model.horner`)
-over the columns of the run's coefficient matrix, one row of
-coefficients per chain, collapsed to one row when all chains share V.
-Each chain draws its proposals from its own RNG stream spawned from its
-config's seed (numpy SeedSequence.spawn), in chunks whose sizes do not
-depend on the row count, so runs are bit-reproducible and a chain's
-output is the same whatever chains or configs run beside it. A run owns
-one workspace, and each chunk builds its flat site indices, its scaled
-steps and its accept thresholds (`metropolis_accept` as a bound on the
-energy change), so a step allocates no array of n entries and accepts
-each row with one comparison. The accept counts of the adaptation
-windows and of the post-burn-in steps are sums over the chunk's
-(steps, rows) buffer of accept flags. Every statistic, R-hat diagnostic
-included, is then computed from the array of retained samples and their
-energies in one pass (`_statistics`). Each chain's proposal
-scale adapts toward 30-50 percent acceptance during burn-in only; it is
-frozen afterward so the invariant law is exact.
+every config step in lockstep as one (rows, n) array, one row per chain,
+and one vectorised pass, accept rule and move serve every row at once.
+Configs run together (`run_many`) share n and the step counts; each row
+keeps its config's beta, V and seed. V of every row is one Horner pass
+(`model.horner`) over the columns of the run's coefficient matrix, one
+row of coefficients per chain, collapsed to one row when all chains
+share V. Each chain draws its proposals from its own RNG stream spawned
+from its config's seed (numpy SeedSequence.spawn), in chunks whose sizes
+do not depend on the row count, so runs are bit-reproducible and a
+chain's output is the same whatever chains or configs run beside it.
+
+The steps run in blocks of at most K = max(1, min(BLOCK_SITES, n // 2))
+steps. Every adaptation, audit, thinning and chunk boundary ends a
+block, so all rows share the schedule (`_block_schedule`). In each block,
+each row moves distinct sites, drawn as uniform distinct ranks of its
+sorted points from its own stream (`_distinct_sites`). That keeps the
+Gibbs law exactly. Relabel the sorted points by a uniform random
+permutation: the labelled configuration then has the symmetric Gibbs
+law, and uniform distinct ranks become uniform distinct labels that do
+not depend on it. Each step is a Metropolis update of one fixed label,
+which leaves that law invariant, and so does their composition (Tierney,
+Ann. Statist. 22 (1994) 1701). One pass computes every step's energy
+change against the points at the block's start, and a K x K table of
+pair corrections (`_pair_corrections`) holds what an accepted earlier
+step adds to a later step's change, so the steps themselves are an
+accept comparison and a masked add each (`_Blocks.step`). K <= n / 2
+keeps the table's 4 K^2 logs per row within the pass's 2 K n. Points are
+written back and rows sorted once per block.
+
+Each chunk builds its flat site indices, its scaled steps and its
+accept thresholds (`metropolis_accept` as a bound on the energy change),
+and a run owns one workspace, so a block allocates no array of n
+entries. The accept counts of the adaptation windows and of the
+post-burn-in steps are sums over the chunk's (steps, rows) buffer of
+accept flags. Every statistic, R-hat diagnostic included, is then
+computed from the array of retained samples and their energies in one
+pass (`_statistics`). Each chain's proposal scale adapts toward 30-50
+percent acceptance during burn-in only; it is frozen afterward so the
+invariant law is exact.
 """
 
 from __future__ import annotations
@@ -30,7 +48,6 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +62,7 @@ AUDIT_INTERVAL = 10_000
 AUDIT_RTOL = 1e-8
 ADAPT_WINDOW = 500
 CHUNK = 4096
+BLOCK_SITES = 16
 LOG_EXP_UNDERFLOW = -1075 * math.log(2)
 
 
@@ -147,39 +165,163 @@ def metropolis_accept(delta, beta: float, u):
     return ok if ok.ndim else bool(ok)
 
 
-def _delta_energy(pts: np.ndarray, at: np.ndarray, z: np.ndarray, d: np.ndarray,
-                  V: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Change of w_n when row c of `pts` moves its point at flat index at[c] from z[1, c, 0] to z[0, c, 0].
+def _block_schedule(done: int, m: int, burn_in: int, thinning: int,
+                    size: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The blocks of the chunk of `m` steps that follows step `done`: their
+    starts as offsets into the chunk, then `m`, and each step's block and
+    position in it.
 
-    `z` is the (2, rows, 1) column of new and old positions and `d` the
-    (2, rows, n) workspace, both contiguous, so that their `ravel`s are
-    views: at[rows + c] = at[c] + rows n is that site in d[1]. `V` maps
-    z.ravel() to V of each row at its two entries, as a `Potential` or
-    `horner` on the run's tiled coefficient columns do. O(n) per row by
-    differencing. A proposal onto an existing point makes a log 0 = -inf
-    term (the caller ignores the divide error), so its change is +inf and
-    it is never accepted.
+    A block ends after every step that closes an adaptation window
+    (burn-in only), an audit interval or a thinning interval (after
+    burn-in), at the chunk's end, and after `size` steps. The schedule
+    depends on the run's shape alone, so every row shares it.
     """
-    m, n = pts.shape
-    # distances of every point to the new (d[0]) and old (d[1]) position;
-    # the moved site's own entry is set to 1 so that its log is 0
-    np.abs(np.subtract(pts, z, out=d), out=d)
-    d.ravel()[at] = 1.0
-    logs = np.add.reduce(np.log(d, out=d), axis=2)
-    v = V(z.ravel())
-    return -2.0 * (logs[0] - logs[1]) + n * (v[:m] - v[m:])
+    g = np.arange(done + 1, done + m + 1)
+    cut = (g % AUDIT_INTERVAL == 0) | ((g <= burn_in) & (g % ADAPT_WINDOW == 0))
+    cut |= (g > burn_in) & ((g - burn_in) % thinning == 0)
+    # the first step after the last cut, then the position in its block
+    t = np.arange(m)
+    after = np.zeros(m, dtype=t.dtype)
+    after[1:] = np.where(cut[:-1], t[1:], 0)
+    pos = (t - np.maximum.accumulate(after)) % size
+    first = pos == 0
+    return np.flatnonzero(first).tolist() + [m], np.cumsum(first) - 1, pos
 
 
-def _tiled_columns(Vs: Sequence[Potential]) -> list:
+def _distinct_sites(ranks: np.ndarray, block: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Sites of the (steps, rows) `ranks`, where step t is at position
+    pos[t] of block block[t] and ranks[t] < n - pos[t]: the step takes the
+    ranks[t]-th smallest site (0-based) that its block's earlier steps
+    left free, so each block's sites are distinct, and uniform when the
+    ranks are.
+
+    Decoded backwards, as a Lehmer code: for each position i from the
+    last but one down to the first, every later site at or above site i
+    moves up by one. One pass per position serves every block.
+    """
+    s = np.zeros((pos.max() + 1, block[-1] + 1, ranks.shape[1]), dtype=ranks.dtype)
+    s[pos, block] = ranks
+    for i in range(len(s) - 2, -1, -1):
+        later = s[i + 1:]
+        later += later >= s[i]
+    return s[pos, block]
+
+
+class _Blocks:
+    """The workspace of a lockstep run, and the step of one block of its
+    (rows, n) points `pts`, which it sorts in place.
+
+    A block of L steps views the front of z as the (2 L, rows) proposed
+    positions p of its steps over their old positions o, and the front of
+    D as the (2 L, rows, n) log-distances of every point to them. The
+    rows' `horner` columns are tiled to the length of the flat z.
+    """
+
+    def __init__(self, pts: np.ndarray, size: int, columns: list):
+        rows, n = pts.shape
+        self.pts, self.pf, self.n = pts, pts.reshape(-1), n
+        z, self.D = np.empty(2 * size * rows), np.empty(2 * size * rows * n)
+        # per block length L: z as a flat, a (2 L, rows) and a (2 L, rows, 1)
+        # array, its p and o, D as a (2 L, rows, n) array, and the tiled
+        # columns
+        self.views = [None]
+        for L in range(1, size + 1):
+            zL = z[:2 * L * rows]
+            z2 = zL.reshape(2 * L, rows)
+            tiled = [c if c is None or np.isscalar(c) else np.tile(c, 2 * L) for c in columns]
+            self.views.append((zL, z2, z2[..., None], z2[:L], z2[L:], self.D[:2 * L * rows * n].reshape(2 * L, rows, n),
+                               tiled))
+
+    def sites(self, sites: np.ndarray, block: np.ndarray, pos: np.ndarray,
+              lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of the (steps, rows) `sites` at positions `pos` of
+        blocks block[t] of `lengths`: into `pts`, made from `sites` in
+        place, and (steps, 2 rows) into the block's D, where each step's
+        own distance to its p and o is set to 1 so that its log is 0."""
+        rows, n = self.pts.shape
+        at = sites
+        at += np.arange(rows) * n
+        # D[a L + l, r, j] of a block of L steps is at ((a L + l) rows + r) n + j
+        at_d = np.empty((len(at), 2, rows), dtype=at.dtype)
+        np.add(at, (pos * rows * n)[:, None], out=at_d[:, 0])
+        np.add(at_d[:, 0], (lengths[block] * rows * n)[:, None], out=at_d[:, 1])
+        return at, at_d.reshape(len(at), 2 * rows)
+
+    def step(self, w: np.ndarray, at: np.ndarray, at_d: np.ndarray, dx: np.ndarray,
+             thr: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        """Run one block of L = len(at) steps on every row: step l moves
+        the site at flat index at[l] by dx[l] if its energy change is below
+        thr[l]. Writes the accept flags to `acc`, adds the accepted changes
+        to the energies `w`, moves and sorts the points, and returns each
+        step's energy change given the steps before it.
+
+        A move onto a point is never accepted: onto a point present at the
+        block's start, the pass gives +inf; onto the new position of a site
+        moved earlier in the block, the pair correction does. A move onto
+        the old position of such a site gets +inf from the pass and -inf
+        from the correction, so NaN, and is rejected too, though its true
+        change is finite; that has probability zero. Needs divide and
+        invalid errors ignored.
+        """
+        L, n = len(at), self.n
+        zf, z, zc, p, o, D, columns = self.views[L]
+        o[:] = self.pf[at]
+        np.add(o, dx, p)
+        # every step's change against the points at the block's start
+        np.abs(np.subtract(self.pts, zc, D), D)
+        self.D[at_d] = 1.0
+        logs = np.add.reduce(np.log(D, D), axis=2)
+        v = horner(columns, zf).reshape(z.shape)
+        delta = -2.0 * (logs[:L] - logs[L:]) + n * (v[:L] - v[L:])
+        if L == 1:
+            # the same sum as below, in one masked add
+            np.add(w, delta[0], w, where=np.less(delta[0], thr[0], acc[0]))
+        else:
+            # step k's accept decides whether its pair corrections reach the
+            # later steps; the accepted changes then sum in step order,
+            # whatever the row count (np.sum would pair them up when there
+            # is one row)
+            C = _pair_corrections(z.T)
+            for k in range(L - 1):
+                ok = np.less(delta[k], thr[k], acc[k])
+                np.add(delta[k + 1:], C[k, k + 1:], delta[k + 1:], where=ok)
+            np.less(delta[-1], thr[-1], acc[-1])
+            w += np.add.accumulate(np.where(acc, delta, 0.0), axis=0)[-1]
+        np.copyto(o, p, where=acc)
+        self.pf[at] = o
+        # accepted moves may cross neighbours; rows with none are sorted
+        # already and have no ties, so sorting leaves them be
+        self.pts.sort(axis=1)
+        return delta
+
+
+def _pair_corrections(Z: np.ndarray) -> np.ndarray:
+    """The (L, L, rows) table C[k, l] = -2 (log|p_l - p_k| - log|o_l - p_k|
+    - log|p_l - o_k| + log|o_l - o_k|) of a block's (rows, 2 L) positions
+    Z = (p, o): what step k moving its site adds to the energy change of
+    step l > k. Entries with l <= k are unused."""
+    rows, L = len(Z), Z.shape[1] // 2
+    # A[r, a, l, b, k] = log|Z[r, a L + l] - Z[r, b L + k]|, built row-major
+    # so that the differences and logs run over long contiguous rows
+    Z = np.ascontiguousarray(Z)
+    A = Z[:, :, None] - Z[:, None, :]
+    A = np.log(np.abs(A, out=A), out=A).reshape(rows, 2, L, 2, L)
+    Q = A[:, 0] - A[:, 1]
+    C = Q[:, :, 0] - Q[:, :, 1]
+    C *= -2.0
+    return C.transpose(2, 1, 0)
+
+
+def _row_columns(Vs: Sequence[Potential]) -> list:
     """`horner` columns of the (rows, degree + 1) coefficient matrix of the
-    rows' potentials, tiled for z = (xp, xi) as two copies of the rows; a
-    matrix whose rows are all equal collapses to its first row, as floats
-    that broadcast (a float multiplies faster than a numpy scalar). An
-    all-zero column is None."""
+    rows' potentials, each a (rows,) array (`_Blocks` tiles them to a
+    block's positions); a matrix whose rows are all equal collapses to its
+    first row, as floats (a float multiplies faster than a numpy scalar).
+    An all-zero column is None."""
     C = np.zeros((len(Vs), max(len(V.coeffs) for V in Vs)))
     for r, V in enumerate(Vs):
         C[r, :len(V.coeffs)] = V.coeffs
-    columns = np.concatenate([C, C]).T.copy() if np.any(C != C[0]) else C[0].tolist()
+    columns = C.T.copy() if np.any(C != C[0]) else C[0].tolist()
     return [col if np.any(col) else None for col in columns]
 
 
@@ -193,14 +335,13 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     row, each row's final step scale and its largest relative
     energy-cache drift, and the steps per second of each chain.
 
-    One workspace per run (z = (xp, xi), the distances d, each row's flat
-    offset in d[0] then d[1], a flat view of the points); per chunk, the
-    flat site indices, the steps scale * moves, redone after each burn-in
+    The steps run in blocks (`_block_schedule`), each one `_Blocks.step`
+    in the run's workspace. Per chunk: the flat indices of each block's
+    distinct sites (`_distinct_sites`) in the points and in the
+    workspace, the steps scale * moves, redone after each burn-in
     adaptation, the `_accept_threshold`s and a (steps, rows) buffer of
     accept flags, summed at each adaptation and at the chunk's end into
-    the window and post-burn-in counts; and the `_tiled_columns` of the
-    rows' coefficients, over which one `horner` pass gives V of every row
-    at z.
+    the window and post-burn-in counts.
     """
     if not cfgs:
         raise ValueError("need at least one config")
@@ -224,33 +365,29 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     rows = len(pts)
     w = np.array([energy(Configuration(row), V) for row, V in zip(pts, Vs)])
     chains = [cfg.chains for cfg in cfgs]
-    betas = [cfg.beta for cfg in cfgs]
-    # a beta that every row shares stays a scalar: that spares an array op per step
-    beta = betas[0] if len(set(betas)) == 1 else np.repeat(betas, chains)
+    beta = np.repeat([cfg.beta for cfg in cfgs], chains)
     scale = np.repeat([cfg.initial_step_scale for cfg in cfgs], chains)
-    V_rows = partial(horner, _tiled_columns(Vs))
     window_acc = np.zeros(rows, dtype=np.int64)
     accepted = np.zeros(rows, dtype=np.int64)
     drift = np.zeros(rows)
     samples = np.empty((rows, first.steps // thinning, n))
     energies = np.empty(samples.shape[:2])
 
-    # z[:, c, 0] = (xp, xi) of row c; pf is a flat view of pts, which
-    # pts.sort(axis=1) keeps, since it sorts in place
-    z, d, offsets = np.empty((2, rows, 1)), np.empty((2, rows, n)), np.arange(2 * rows) * n
-    xp, xi = z[:, :, 0]
-    pf = pts.reshape(-1)
+    per_block = max(1, min(BLOCK_SITES, n // 2))
+    blocks = _Blocks(pts, per_block, _row_columns(Vs))
+    step = blocks.step
 
     total = burn_in + first.steps
     done = 0
     t0 = time.perf_counter()
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         while done < total:
             # each chain draws its chunk in its own stream, in the order and
             # sizes that make it independent of the other rows
             m = min(CHUNK, total - done)
-            sites = np.stack([rng.integers(0, n, m) for rng in rngs], axis=1)
-            at = np.concatenate([sites, sites], axis=1) + offsets
+            bounds, block, pos = _block_schedule(done, m, burn_in, thinning, per_block)
+            ranks = np.stack([rng.integers(0, n - pos) for rng in rngs], axis=1)
+            at, at_d = blocks.sites(_distinct_sites(ranks, block, pos), block, pos, np.diff(bounds))
             moves = np.stack([rng.normal(0.0, 1.0, m) for rng in rngs], axis=1)
             thr = _accept_threshold(beta, np.stack([rng.random(m) for rng in rngs], axis=1))
             dx = scale * moves
@@ -258,26 +395,15 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
             # the burn-in steps of this chunk, and the first step whose
             # accepts are not yet in window_acc
             burn, lo = min(m, max(0, burn_in - done)), 0
-            for k in range(m):
-                gstep = done + k
-                flat = at[k, :rows]
-                xi[:] = pf[flat]
-                np.add(xi, dx[k], out=xp)
-                delta = _delta_energy(pts, at[k], z, d, V_rows)
-                acc = np.less(delta, thr[k], out=accs[k])
-                np.copyto(xi, xp, where=acc)
-                pf[flat] = xi
-                # the energies after the moves, kept where accepted
-                np.copyto(w, np.add(w, delta, out=delta), where=acc)
-                # an accepted move may cross a neighbour; the other rows are
-                # sorted already and have no ties, so sorting leaves them be
-                pts.sort(axis=1)
-                if k < burn and (gstep + 1) % ADAPT_WINDOW == 0:
-                    rate = (window_acc + accs[lo:k + 1].sum(axis=0)) / ADAPT_WINDOW
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                step(w, at[a:b], at_d[a:b], dx[a:b], thr[a:b], accs[a:b])
+                g = done + b
+                if b <= burn and g % ADAPT_WINDOW == 0:
+                    rate = (window_acc + accs[lo:b].sum(axis=0)) / ADAPT_WINDOW
                     scale = np.where(rate > 0.5, scale * 1.3, np.where(rate < 0.3, scale / 1.3, scale))
-                    window_acc[:], lo = 0, k + 1
-                    np.multiply(scale, moves[k + 1:], out=dx[k + 1:])
-                if (gstep + 1) % AUDIT_INTERVAL == 0:
+                    window_acc[:], lo = 0, b
+                    np.multiply(scale, moves[b:], out=dx[b:])
+                if g % AUDIT_INTERVAL == 0:
                     for r, V in enumerate(Vs):
                         w_true = energy(Configuration(pts[r]), V)
                         gap, size = abs(w[r] - w_true), max(1.0, abs(w_true))
@@ -287,13 +413,15 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
                                 f"energy cache of chain {chain_of[r]} drifted: cached {float(w[r])!r} vs exact {w_true!r}"
                             )
                         w[r] = w_true
-                if gstep >= burn_in and (gstep - burn_in + 1) % thinning == 0:
-                    kept = (gstep - burn_in + 1) // thinning - 1
+                if g > burn_in and (g - burn_in) % thinning == 0:
+                    kept = (g - burn_in) // thinning - 1
                     samples[:, kept] = pts
                     energies[:, kept] = w
             window_acc += accs[lo:burn].sum(axis=0)
             accepted += accs[burn:].sum(axis=0)
             done += m
+            # free the chunk's arrays before the next chunk draws its own
+            del ranks, at, at_d, moves, thr, dx, accs
     steps_per_s = total / (time.perf_counter() - t0)
     return samples, energies, accepted, scale, drift, steps_per_s
 

@@ -23,7 +23,7 @@ from loggas import (
 )
 from loggas.hamiltonian import Configuration, energy
 from loggas.model import horner
-from loggas.sampler import AUDIT_RTOL, _delta_energy, _tiled_columns
+from loggas.sampler import AUDIT_RTOL, _Blocks, _distinct_sites, _row_columns
 
 V2 = quadratic()
 
@@ -67,14 +67,98 @@ def _exact_accept(delta, beta, u):
         return None if abs(D(delta) - T) <= 8 * D(2) ** -52 * T else D(delta) < T
 
 
+def _one_block(points, Vs, sites, dx, thr):
+    """Run one block on sorted `points` (rows, n): step l moves site
+    sites[l, r] of row r by dx[l, r] and is accepted where its change is
+    below thr[l, r]. Returns the energies before, the block's deltas and
+    accept flags, the energies it cached and the points after."""
+    pts = np.array(points, dtype=float)
+    sites, dx, thr = np.array(sites), np.array(dx, dtype=float), np.array(thr, dtype=float)
+    L = len(sites)
+    blocks = _Blocks(pts, L, _row_columns(Vs))
+    w0 = np.array([energy(Configuration(row), V) for row, V in zip(pts, Vs)])
+    w, acc = w0.copy(), np.empty(sites.shape, dtype=bool)
+    at, at_d = blocks.sites(sites, np.zeros(L, dtype=int), np.arange(L), np.array([L]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = blocks.step(w, at, at_d, dx, thr, acc)
+    return w0, delta, acc, w, pts
+
+
 def test_proposal_onto_existing_point_rejected():
-    # the one row moves its site 0 from -0.5 onto the point at 0.1; its flat
-    # index is 0 in pts and d[0], and 3 in d[1]
-    pts = np.array([[-0.5, 0.1, 0.9]])
-    with np.errstate(divide="ignore"):
-        delta = _delta_energy(pts, np.array([0, 3]), np.array([[[0.1]], [[-0.5]]]), np.empty((2, 1, 3)), V2)[0]
-    assert delta == math.inf
-    assert not metropolis_accept(delta, 2.0, 0.0)
+    # row 0, step 0: site 0 lands on the point at 0.25, present since the
+    # block's start. Row 1: step 0 moves site 2 from 0.75 to 0.5 and is
+    # accepted; step 1 lands site 0 on 0.5. Both changes are +inf, so no
+    # threshold accepts them.
+    points = [[-0.5, 0.25, 0.75], [-0.5, 0.25, 0.75]]
+    sites = [[0, 2], [1, 0]]
+    dx = [[0.75, -0.25], [0.125, 1.0]]
+    w0, delta, acc, w, pts = _one_block(points, [V2, V2], sites, dx, np.full((2, 2), np.inf))
+    assert delta[0, 0] == math.inf and not acc[0, 0]
+    assert math.isfinite(delta[0, 1]) and acc[0, 1]
+    assert delta[1, 1] == math.inf and not acc[1, 1]
+    assert not metropolis_accept(math.inf, 2.0, 0.0)
+    # row 0's step 1 (site 1, 0.25 -> 0.375) is finite and accepted, and
+    # every cached energy is exact
+    assert acc[1, 0] and np.array_equal(pts, [[-0.5, 0.375, 0.75], [-0.5, 0.25, 0.5]])
+    for r in range(2):
+        assert w[r] == pytest.approx(energy(Configuration(pts[r]), V2), rel=1e-12)
+
+
+def test_landing_on_a_vacated_point_is_rejected():
+    # step 0 moves site 2 from 0.75 to 0.5; step 1 lands site 0 on 0.75,
+    # which step 0 left. Against the block's start the change is +inf and
+    # the pair correction -inf, so their sum is NaN and the move is
+    # rejected, though its true change is finite: a loss of measure zero
+    sites, dx = [[2], [0]], [[-0.25], [1.25]]
+    w0, delta, acc, w, pts = _one_block([[-0.5, 0.25, 0.75]], [V2], sites, dx, np.full((2, 1), np.inf))
+    assert acc[0, 0] and math.isnan(delta[1, 0]) and not acc[1, 0]
+    assert np.array_equal(pts, [[-0.5, 0.25, 0.5]])
+
+
+_ROW_VS = [V2, quartic(), double_well(), blend(V2, quartic(), 0.3)]
+
+
+@pytest.mark.parametrize("pattern", ["all", "none", "alternating", "random"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_deltas_are_exact_energy_changes(pattern, seed):
+    # every step's delta, given the accepted steps before it in the block,
+    # equals energy(after) - energy(before) of its own row; the block's
+    # moves are wide enough to cross neighbours
+    rng = np.random.default_rng(seed)
+    n, L, rows = 12, 6, len(_ROW_VS)
+    points = np.sort(rng.normal(0.0, 1.0, (rows, n)), axis=1)
+    sites = np.stack([rng.permutation(n)[:L] for _ in range(rows)], axis=1)
+    dx = rng.normal(0.0, 0.4, (L, rows))
+    force = {"all": np.ones((L, rows), dtype=bool), "none": np.zeros((L, rows), dtype=bool),
+             "alternating": (np.arange(L)[:, None] + np.arange(rows)) % 2 == 0,
+             "random": rng.random((L, rows)) < 0.5}[pattern]
+    w0, delta, acc, w, pts = _one_block(points, _ROW_VS, sites, dx, np.where(force, np.inf, -np.inf))
+    assert np.array_equal(acc, force)
+    for r, V in enumerate(_ROW_VS):
+        x, before = points[r].copy(), w0[r]
+        for l in range(L):
+            moved = x.copy()
+            moved[sites[l, r]] += dx[l, r]
+            after = energy(Configuration(np.sort(moved)), V)
+            assert abs(delta[l, r] - (after - before)) <= 1e-12 * max(1.0, abs(before)), (r, l)
+            if force[l, r]:
+                x, before = moved, after
+        assert np.array_equal(pts[r], np.sort(x))
+        assert abs(w[r] - before) <= 1e-12 * max(1.0, abs(before))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=12), st.integers(10, 16), st.data())
+def test_block_sites_are_the_ranked_free_sites(lengths, n, data):
+    # each step takes the rank-th smallest site its block has left free
+    pos = np.concatenate([np.arange(L) for L in lengths])
+    block = np.repeat(np.arange(len(lengths)), lengths)
+    ranks = np.array([data.draw(st.integers(0, n - 1 - k)) for k in pos])[:, None]
+    sites = _distinct_sites(ranks, block, pos)[:, 0].tolist()
+    free = []
+    for t, (k, j) in enumerate(zip(pos, ranks[:, 0])):
+        free = list(range(n)) if k == 0 else free
+        assert sites[t] == free.pop(j)
 
 
 def test_run_keeps_rows_sorted_and_energy_cache_exact():
@@ -134,6 +218,38 @@ def test_single_particle_matches_gaussian():
     assert len(xs) == 4000
     _, p = sps.kstest(xs, "norm")
     assert p > 0.01
+
+
+def _block_z(traces: np.ndarray, ref: float, blocks: int = 10) -> float:
+    """(mean - ref) in standard errors of the means of `blocks` consecutive
+    blocks cut inside each chain's trace (one row per chain)."""
+    means = np.array([b.mean() for trace in traces for b in np.array_split(trace, blocks)])
+    return float((means.mean() - ref) / (means.std(ddof=1) / math.sqrt(len(means))))
+
+
+def test_two_particle_gaps_follow_the_exact_law():
+    # n = 2, V = x^2/2: the Gibbs density is g^beta exp(-beta g^2 / 4) in the
+    # gap g times a Gaussian in x1 + x2, so beta g^2 / 4 ~ Gamma((beta + 1) / 2)
+    betas = (1.0, 2.0, 5.0)
+    cfgs = [SamplerConfig(n=2, beta=beta, V=V2, steps=60_000, burn_in=5_000, thinning=30, chains=4,
+                          seed=17 + k) for k, beta in enumerate(betas)]
+    for beta, stats in zip(betas, run_many(cfgs)):
+        g = np.diff(stats.samples, axis=1)[:, 0]
+        assert len(g) == 8_000
+        _, p = sps.kstest(beta * g * g / 4.0, sps.gamma((beta + 1.0) / 2.0).cdf)
+        assert p > 0.01, (beta, p)
+
+
+def test_sum_of_squares_meets_the_virial_identity():
+    # scaling x -> (1 + e) x in Z gives E[sum x^2] = n - 1 + 2 / beta for
+    # V = x^2/2; at n = 8 a block holds 4 steps, so the pair corrections act
+    n, betas = 8, (1.0, 2.0, 5.0)
+    cfgs = [SamplerConfig(n=n, beta=beta, V=V2, steps=60_000, burn_in=5_000, thinning=20, chains=4,
+                          seed=29 + k) for k, beta in enumerate(betas)]
+    for beta, cfg, stats in zip(betas, cfgs, run_many(cfgs)):
+        sum_sq = (stats.samples ** 2).sum(axis=1).reshape(cfg.chains, -1)
+        z = _block_z(sum_sq, n - 1.0 + 2.0 / beta)
+        assert abs(z) <= 3.0, (beta, z)
 
 
 def _short_run(beta, seed):
@@ -225,6 +341,15 @@ def test_configs_do_not_depend_on_ladder():
         assert np.all((stats.cache_drift >= 0.0) & (stats.cache_drift <= AUDIT_RTOL))
 
 
+def test_one_chain_alone_equals_its_ladder_row_in_full_blocks():
+    # at n = 32 a block holds 16 steps, enough for a sum over them to take
+    # another order when a run has a single row; the cached energies must
+    # not, so the lone chain's statistics, the drift of its energy audit at
+    # step 10,000 included, equal its row's in a ladder
+    cfg = SamplerConfig(n=32, beta=2.0, V=V2, steps=10_000, burn_in=500, thinning=10, chains=1, seed=8)
+    _assert_same_statistics(run(cfg), run_many([cfg.replaced(chains=3, seed=2), cfg])[1])
+
+
 _LADDER_ROWS = st.one_of(
     st.sampled_from([V2, quartic(), double_well()]),
     st.tuples(st.sampled_from([V2, double_well()]), st.sampled_from([quartic(), double_well()]),
@@ -235,8 +360,8 @@ _LADDER_ROWS = st.one_of(
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(_LADDER_ROWS, min_size=1, max_size=6), st.data())
-def test_tiled_coefficients_give_each_rows_own_v(rows, data):
+@given(st.lists(_LADDER_ROWS, min_size=1, max_size=6), st.integers(1, 4), st.data())
+def test_tiled_coefficients_give_each_rows_own_v(rows, L, data):
     # a (a, b, t) row is blend(a, b, t), whose coefficients are the blended ones
     Vs = []
     for row in rows:
@@ -246,14 +371,17 @@ def test_tiled_coefficients_give_each_rows_own_v(rows, data):
             row = blend(a, b, t)
             assert row.coeffs == tuple(np.trim_zeros((1.0 - t) * ca + t * cb, "b").tolist())
         Vs.append(row)
-    # z = (xp, xi) of every row, as the lockstep step lays it out; padding a
-    # row with zeros and adding another row's coefficient column that is
-    # zero in this row leave its Horner pass exact (up to the sign of zero)
+    # z = (p, o) of every step of a block of L steps, as the block kernel
+    # lays it out; padding a row with zeros and adding another row's
+    # coefficient column that is zero in this row leave its Horner pass
+    # exact (up to the sign of zero)
     m = len(Vs)
-    z = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * m, max_size=2 * m))).reshape(2, m)
-    v = horner(_tiled_columns(Vs), z.ravel())
+    z = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * L * m, max_size=2 * L * m)))
+    columns = _Blocks(np.zeros((m, 2 * L)), L, _row_columns(Vs)).views[L][-1]
+    v = horner(columns, z).reshape(2, L, m)
+    z = z.reshape(2, L, m)
     for r, V in enumerate(Vs):
-        assert np.array_equal(v[[r, m + r]], V.eval(z[:, r])), V.label
+        assert np.array_equal(v[..., r], V.eval(z[..., r])), V.label
 
 
 def _digest(stats: GasStatistics) -> str:
@@ -265,14 +393,14 @@ def _digest(stats: GasStatistics) -> str:
 
 def test_kernel_output_pinned():
     # 11,000 steps cross a 4096-step chunk boundary, two burn-in
-    # adaptations and an energy audit. Any change to the step kernel's
-    # arithmetic or to the order of its draws changes the digests, and so
-    # does any change to the starts: the semicircle quantiles (every V
-    # without a closed form starts from them too) and the Fekete set of
-    # chain 0.
+    # adaptations and an energy audit. Any change to the block kernel's
+    # arithmetic, to its site schedule or to the order of its draws changes
+    # the digests, and so does any change to the starts: the semicircle
+    # quantiles (every V without a closed form starts from them too) and
+    # the Fekete set of chain 0.
     Q = quartic()
     base = SamplerConfig(n=8, beta=2.0, V=V2, steps=10_000, burn_in=1_000, thinning=10, chains=2, seed=4)
-    assert _digest(run(base)) == "23cc64233cf9d0899fea3955c6be776191d1a45ab30229997b74a93e594b3c6b"
+    assert _digest(run(base)) == "70ccc7e74723d204b126b58abed437e71a5d46f17cb5f85f9fff0da00c8205bb"
     # one coefficient matrix: a quadratic row, padded with zeros, between
     # two quartic blends
     ladder = [
@@ -281,9 +409,9 @@ def test_kernel_output_pinned():
         base.replaced(beta=1.0, V=blend(V2, Q, 0.8), chains=1, seed=5),
     ]
     assert [_digest(s) for s in run_many(ladder)] == [
-        "eb9fc9d17e689129a33bd800a2f4aae1ae225dffc4cc3169995f099d60df1487",
-        "cb4e2c4652c9462776e64fd45cf0cffabb31f599417252ef26df676f4aadab08",
-        "5557c007af67cbea2c3779a60ba249ce5295bfae5c61674348e263fde5dfac83",
+        "5d93dc8d5717aa5bc96891d05093f74d20fade8732d3804b9bb76d6f56d9ff0d",
+        "d96c29fcd3d008c1281d8d9b0491149b34b42e2d8de3d939b3f2b628eb404992",
+        "45c8171cec2cee63931198f65536be80756de44a4de50f79656678556ab8e4b1",
     ]
 
 
@@ -299,16 +427,16 @@ def test_accept_counts_pinned():
     # counts split inside one chunk; the ladder gives each config its own
     # beta, and one config has a single chain
     base = SamplerConfig(n=8, beta=2.0, V=V2, steps=6_000, burn_in=4_700, thinning=10, chains=2, seed=4)
-    assert _accept_digest(run(base)) == "3727c1786d8cfc7dbd0a67f15d17a249eb84b21fb2ced3c2f2e6313bad905548"
+    assert _accept_digest(run(base)) == "8d27ebcf689622c53251f130738b679a371674237bb4ccd34596609753000a3f"
     ladder = [
         base.replaced(beta=5.0, seed=7),
         base.replaced(beta=0.5, V=quartic(), chains=1, seed=5),
         base.replaced(beta=20.0, chains=3, seed=11),
     ]
     assert [_accept_digest(s) for s in run_many(ladder)] == [
-        "924043e54a88578125e2b47bffcaab2e7461c3892d838fad007b65024b53b219",
-        "1fb7b355dbeb9e0a1efc5b6dfb4588c06f99535e4270c2cb75b8ac0a2c5059e1",
-        "0505cc82aadf917c9d866687c4c9f5316fcad716d520d1c14ff4783ff52298ac",
+        "45a3936ad45418907f680fbec9426b0ee0ad5a214a701f72e45292fec10da3ea",
+        "87ce4dc5c457d8031a11f44a0682ca231bed56be76955409459d9b1ad1c307fb",
+        "8dc0bb0309782a141e4d475ab72aa0a6794fc41ccaaa3665e7f27c95be72e107",
     ]
 
 
