@@ -8,13 +8,12 @@ the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
 orthonormal Hermite recurrence (Golub and Welsch, Math. Comp. 23 (1969)
 221), zero diagonal and off-diagonal sqrt(k/2), k = 1..n-1, with LAPACK's
 tridiagonal eigensolver. It shares no code path with the optimizer it
-checks, which solves with Cholesky and LU factorisations of the w_n
-Hessian.
+checks, which solves with LU factorisations of the w_n Hessian, certified
+positive definite by Gershgorin or else by a Cholesky test.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -84,12 +83,33 @@ def jittered(base: np.ndarray, scale: float, rng: np.random.Generator) -> np.nda
             return x0
 
 
+#: relative margin of the Levenberg floor, and of the Gershgorin certificate
+MARGIN = 1e-12
+
+
+def _factors(H: np.ndarray) -> bool:
+    """Whether the Cholesky factorisation of H succeeds."""
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.ndarray:
     """Solve (H + s I) d = -g with the full w_n Hessian H: n diag V'' (exact,
     from V's coefficients) plus the positive semidefinite Laplacian with
-    off-diagonal -2/(x_i-x_j)^2. So s = 0 when H factors; else s is the
-    Gershgorin floor -n min V'' plus 1e-12 max |diag| against rounding, and
-    ConvergenceError if H + s I still does not factor.
+    off-diagonal -2/(x_i-x_j)^2.
+
+    Row i of H + s I has diagonal minus off-diagonal sum n V''(x_i) + s,
+    so by Gershgorin H + s I is positive definite once min n V'' + s >= m =
+    MARGIN max |diag|, while n 2^-52 <= MARGIN keeps the rounding of the
+    row sums inside m. So s = 0 with no factorisation where min n V'' >= m
+    (every step of x^2/2, and of the quartic at even n); else s = 0 if H
+    passes a Cholesky test; else the floor s = max(0, -n min V'') + m,
+    which meets the certificate by construction. Past n = MARGIN 2^52 the
+    certificate lapses: the floor then takes a Cholesky test too, and
+    ConvergenceError if H + s I fails it. One LU solve gives d.
     """
     H = pts[:, None] - pts[None, :]
     np.fill_diagonal(H, np.inf)
@@ -97,14 +117,15 @@ def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.nda
     np.divide(-2.0, H, out=H)
     nvpp = n * V.deriv2(pts)
     diag = nvpp - H.sum(axis=1)
-    floor = max(0.0, -float(np.min(nvpp))) + 1e-12 * float(np.max(np.abs(diag)))
-    for shift in (0.0, floor):
-        np.fill_diagonal(H, diag + shift)
-        with contextlib.suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky(H)
-            # numpy has no triangular solve: one LU beats two through the factor
-            return np.linalg.solve(H, -g)
-    raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
+    low = float(np.min(nvpp))
+    margin = MARGIN * float(np.max(np.abs(diag)))
+    certifiable = n * 2.0 ** -52 <= MARGIN
+    np.fill_diagonal(H, diag)
+    if not (certifiable and low >= margin) and not _factors(H):
+        np.fill_diagonal(H, diag + (max(0.0, -low) + margin))
+        if not (certifiable or _factors(H)):
+            raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
+    return np.linalg.solve(H, -g)
 
 
 def _descend(x0: np.ndarray, V: Potential, n: int,

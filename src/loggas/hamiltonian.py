@@ -85,22 +85,27 @@ def energy(config: Configuration, V: Potential) -> float:
     t = log(x_j - x_i), i < j: the float that `math.fsum` of their list
     returns, at every n. Rows [a0, a1) of the pair-difference matrix form
     one block, x[a0:] - x[a0:a1, None], whose corner c <= r is set to 1
-    and so adds log 1 = 0. Each block is summed exactly:
+    and so adds log 1 = 0. Each block of L terms is summed exactly by
+    error-free extraction (`_extracted_sums`; Rump, Ogita and Oishi, SIAM
+    J. Sci. Comput. 31 (2008) 189, their ExtractVector). With 2^M >= L + 2
+    and sigma = 2^(M + e), where 2^e > max |t|, one pass takes
 
-    - frexp gives t = m 2^e with 1/2 <= |m| < 1; a = m 2^27 is a multiple
-      of 2^-26 and splits exactly into h = floor(a), |h| <= 2^27, and
-      f = a - h, a multiple of 2^-26 in [0, 1): t = (h + f) 2^(e-27);
-    - h and f are summed in bins of e (`np.bincount`). A block has fewer
-      than 2^26 terms, so a partial sum of h is an integer below 2^53 in
-      size and one of f a multiple of 2^-26 below 2^26: exact in any order;
-    - bin e gives the two exact floats sum(h) 2^(e-27) and
-      sum(f) 2^(e-27). A gap is a double from 2^-1074 to below 2^1024,
-      and the doubles next to 1 are 1 - 2^-53 and 1 + 2^-52, so a pair
-      log is 0 or has 2^-53 <= |t| < 745: e >= -52, and no part is
-      subnormal.
+        q = (sigma + t) - sigma,    t <- t - q,
 
-    One `math.fsum` over every block's parts, about 1,200 floats at
-    n = 1024, rounds the exact total once.
+    both exact: q is t rounded to a multiple of 2^-53 sigma, and the new
+    residual t has |t| <= 2^-53 sigma. Every q is a multiple of 2^-53 sigma
+    of size at most 2^e, so any partial sum of the L values q is below
+    sigma and exact, and `q.sum()` is the exact sum in whatever order
+    numpy adds. Passes repeat until the residual is zero. A gap is a
+    double from 2^-1074 to below 2^1024, and the doubles next to 1 are
+    1 - 2^-53 and 1 + 2^-52, so a pair log is 0 or has
+    2^-53 <= |t| < 745: a multiple of 2^-105 with e <= 10. A pass lowers
+    e by at least 52 - M, and a nonzero residual keeps e >= -104, so a
+    block takes at most 1 + 114 // (52 - M) passes (4 at L = 2^15),
+    usually 2; `ArithmeticError` if it ever takes more.
+
+    One `math.fsum` over every block's sums, about 70 floats at n = 1024,
+    rounds the exact total once.
     """
     pts = config.points
     n = len(pts)
@@ -111,20 +116,29 @@ def energy(config: Configuration, V: Potential) -> float:
         r = a1 - a0
         t = pts[a0:] - pts[a0:a1, None]
         np.copyto(t[:, :r], 1.0, where=_CORNER[:r, :r])
-        t = np.log(t, out=t).ravel()
-        e = np.frexp(t, out=(t, None))[1]
-        t *= 2.0 ** 27
-        h = np.floor(t)
-        t -= h
-        e0 = int(e.min())
-        e -= e0
-        sum_h = np.bincount(e, weights=h)
-        k = np.arange(e0 - 27, e0 - 27 + len(sum_h))
-        parts += np.ldexp(sum_h, k).tolist()
-        parts += np.ldexp(np.bincount(e, weights=t), k).tolist()
+        parts += _extracted_sums(np.log(t, out=t).ravel())
     interaction = -2.0 * math.fsum(parts)
     confinement = n * math.fsum(np.asarray(V.eval(pts), dtype=float).tolist())
     return interaction + confinement
+
+
+def _extracted_sums(t: np.ndarray) -> list[float]:
+    """One float per extraction pass (see `energy`), whose exact sum is that
+    of the pair logs t; t is overwritten by the residual."""
+    q = np.empty_like(t)
+    m = (len(t) + 1).bit_length()
+    sums = []
+    # the passes that `energy` bounds, and one more that finds t all zero
+    for _ in range(2 + 114 // (52 - m)):
+        top = float(np.abs(t, out=q).max())
+        if not top:
+            return sums
+        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
+        np.add(t, sigma, out=q)
+        q -= sigma
+        t -= q
+        sums.append(float(q.sum()))
+    raise ArithmeticError("error-free extraction of a pair-log block did not terminate")
 
 
 def gradient(config: Configuration, V: Potential) -> np.ndarray:

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from scipy.special import roots_hermite
 
 from loggas import (double_well, energy, gradient, hermite_oracle, minimize, polynomial, quadratic, quartic,
                     semicircle_equilibrium)
+from loggas import fekete
+from loggas.errors import ConvergenceError
 from loggas.fekete import MAX_ITER, quantile_start
 
 V2 = quadratic()
@@ -207,3 +210,72 @@ def test_deterministic_given_seed():
     b = minimize(12, V2, seed=5)
     assert np.array_equal(a.config.points, b.config.points)
     assert a.iterations == b.iterations
+
+
+def two_factorisation_step(pts, g, V, n):
+    """The Newton step before the Gershgorin certificate: a Cholesky test
+    at s = 0, then at the floor s, and LU solve at the first s that passes."""
+    H = pts[:, None] - pts[None, :]
+    np.fill_diagonal(H, np.inf)
+    H *= H
+    np.divide(-2.0, H, out=H)
+    nvpp = n * V.deriv2(pts)
+    diag = nvpp - H.sum(axis=1)
+    floor = max(0.0, -float(np.min(nvpp))) + 1e-12 * float(np.max(np.abs(diag)))
+    for shift in (0.0, floor):
+        np.fill_diagonal(H, diag + shift)
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(H)
+            return np.linalg.solve(H, -g)
+    raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
+
+
+def recorded_minimize(monkeypatch, step, n, V):
+    """minimize(n, V) with `step` as its Newton step, the (x, d) pairs of
+    every call, and the number of Cholesky factorisations."""
+    steps, factorisations, cholesky = [], [], np.linalg.cholesky
+
+    def counting_cholesky(a):
+        factorisations.append(len(a))
+        return cholesky(a)
+
+    def recording_step(pts, g, V, n):
+        d = step(pts, g, V, n)
+        steps.append((pts.copy(), d))
+        return d
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "cholesky", counting_cholesky)
+        m.setattr(fekete, "_newton_step", recording_step)
+        res = minimize(n, V)
+    return res, steps, len(factorisations)
+
+
+@pytest.mark.parametrize("V, n", [(V2, 256), (quartic(), 16), (quartic(), 17), (double_well(), 16)],
+                         ids=["quadratic-256", "quartic-16", "quartic-17", "double_well-16"])
+def test_newton_iterates_match_the_two_factorisation_step(monkeypatch, V, n):
+    new, new_steps, new_chol = recorded_minimize(monkeypatch, fekete._newton_step, n, V)
+    ref, ref_steps, ref_chol = recorded_minimize(monkeypatch, two_factorisation_step, n, V)
+    assert len(new_steps) == len(ref_steps) and new.iterations == ref.iterations
+    for (x, d), (x_ref, d_ref) in zip(new_steps, ref_steps):
+        assert np.array_equal(x, x_ref) and np.array_equal(d, d_ref)
+    assert np.array_equal(new.config.points, ref.config.points)
+    assert new.energy_trace == ref.energy_trace
+    assert new_chol < ref_chol
+    # Gershgorin certifies every step of x^2/2; V'' < 0 needs a Cholesky test
+    if V is V2:
+        assert new_chol == 0
+    if np.min(V.deriv2(new.config.points)) < 0:
+        assert new_chol > 0
+
+
+def test_uncertified_shift_that_does_not_factor_raises(monkeypatch):
+    # past n = MARGIN 2^52 the certificate lapses, and the shifted step
+    # needs a Cholesky test of its own
+    def fails(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(fekete, "MARGIN", 1e-20)
+    monkeypatch.setattr(np.linalg, "cholesky", fails)
+    with pytest.raises(ConvergenceError):
+        minimize(4, V2, multistart=1)

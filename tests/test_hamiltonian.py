@@ -12,11 +12,12 @@ from loggas import (
     energy,
     gradient,
     model_constants,
+    polynomial,
     quadratic,
     quartic,
     semicircle_equilibrium,
 )
-from loggas.hamiltonian import BLOCK_ELEMENTS, BLOCK_ROWS
+from loggas.hamiltonian import BLOCK_ELEMENTS, BLOCK_ROWS, _block_rows, _extracted_sums
 
 MU = semicircle_equilibrium()
 V2 = quadratic()
@@ -106,16 +107,82 @@ def exactness_cases():
         cases[f"scale{scale:g}"] = np.sort(rng.normal(0.0, scale, 3 * r // 2))
     # np.sum rounds these pair logs differently from math.fsum
     cases["pairwise-witness"] = np.sort(np.random.default_rng(7).normal(0.0, 1.0, 200))
+    # one block with a log near 345 and logs near 1e-16, whose last bits
+    # lie about 2^-105: three or more extraction passes
+    cases["large-and-near-1"] = np.concatenate(
+        [[-1e150], np.cumsum([0.0, 1 + 2.0 ** -52, 1 - 2.0 ** -53, 1 + 2.0 ** -51, 1 + 3 * 2.0 ** -52])])
+    # a first block of exactly BLOCK_ELEMENTS terms (64 rows of 512)
+    cases["full-block"] = np.sort(rng.normal(0.0, 1.0, BLOCK_ELEMENTS // BLOCK_ROWS))
+    # a first block of 43 rows of 762, 2^15 - 2 terms, so 2^M = L + 2
+    # exactly; every log lies in [248, 256), just under 2^8, so the
+    # block's extracted parts sum to within 5 % of sigma = 2^(M + 8)
+    cases["tight-2^M"] = 1e108 * np.arange(762.0)
     return cases
 
 
 CASES = exactness_cases()
 
 
+# so weak that the pair sum still sets w_n at |x| = 1e150, where x^2/2
+# swamps it
+V_FLAT = polynomial([0.0, 0.0, 1e-300])
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_energy_is_the_correctly_rounded_pair_sum(name):
     pts = CASES[name]
     assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
+    assert energy(Configuration(pts), V_FLAT) == fsum_energy(pts, V_FLAT)
+
+
+def pair_logs(pts):
+    i, j = np.triu_indices(len(pts), 1)
+    return np.log(pts[j] - pts[i])
+
+
+def extraction_is_exact(t):
+    # math.fsum rounds correctly, so it returns 0 exactly when the parts
+    # and -t cancel exactly
+    parts = _extracted_sums(t.copy())
+    return math.fsum(parts + (-t).tolist()) == 0.0, len(parts)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_extraction_is_exact_on_every_block(name):
+    t = pair_logs(CASES[name])
+    for a in range(0, len(t), BLOCK_ELEMENTS):
+        assert extraction_is_exact(t[a:a + BLOCK_ELEMENTS])[0]
+
+
+@pytest.mark.parametrize("length", [2 ** 15 - 2, 2 ** 15 - 1, BLOCK_ELEMENTS])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_extraction_is_exact_where_the_parts_near_sigma(length, sign):
+    # every term just under 2^8, so the extracted parts of a block of
+    # 2^M - 2 terms sum to just under sigma = 2^(M + 8); with half that
+    # sigma, a sum of parts rounds in about half of these draws
+    for seed in range(4):
+        t = sign * np.random.default_rng(seed).uniform(255.0, 256.0, length)
+        assert extraction_is_exact(t)[0]
+
+
+def test_near_1_logs_beside_a_large_one_take_three_passes():
+    exact, passes = extraction_is_exact(pair_logs(CASES["large-and-near-1"]))
+    assert exact and passes >= 3
+
+
+def test_block_boundary_cases_are_what_they_claim():
+    assert _block_rows(512) * 512 == BLOCK_ELEMENTS
+    L = _block_rows(762) * 762
+    assert 2 ** (L + 1).bit_length() == L + 2
+    pts = CASES["tight-2^M"]
+    assert 128 <= math.log(pts[1] - pts[0]) and math.log(pts[-1] - pts[0]) < 256
+
+
+def test_extraction_beyond_the_pair_log_range_fails_loudly():
+    # full mantissas every 50 binades from pi down to 2^-448: bits far
+    # below 2^-105, the last bit of any pair log
+    with pytest.raises(ArithmeticError):
+        _extracted_sums(math.pi * 2.0 ** -(50.0 * np.arange(10)))
 
 
 def test_pairwise_witness_separates_the_sums():
@@ -148,6 +215,22 @@ def test_kernels_match_their_references_on_any_points(pts):
     assume(np.all(np.diff(pts) > 0))
     assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
     assert same_gradient(pts)
+
+
+# points whose neighbours lie within a few ulp of 1 apart, so that the
+# adjacent pair logs are near 1e-16, and maybe one far point whose logs
+# are near 345
+NEAR_1_GAPS = st.tuples(
+    st.lists(st.floats(1 - 2.0 ** -50, 1 + 2.0 ** -49), min_size=1, max_size=3 * BLOCK_ROWS // 2),
+    st.booleans(),
+).map(lambda c: np.concatenate([[-1e150] if c[1] else [], np.cumsum([0.0] + c[0])]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(NEAR_1_GAPS)
+def test_energy_is_exact_on_near_1_gaps(pts):
+    assert energy(Configuration(pts), V_FLAT) == fsum_energy(pts, V_FLAT)
+    assert extraction_is_exact(pair_logs(pts))[0]
 
 
 def test_gradient_zero_at_two_point_minimizer():
