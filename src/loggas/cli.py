@@ -121,6 +121,8 @@ def _cmd_fekete(args) -> Result:
         "grad_norm": res.grad_norm,
         "iterations": res.iterations,
         "converged": res.converged,
+        "mirrored": res.mirrored,
+        "cholesky_tests": res.cholesky_tests,
         "breakdown": None if res.breakdown is None else asdict(res.breakdown),
     }
     rows = [[i, _fmt(float(x))] for i, x in enumerate(res.config.points)]

@@ -7,9 +7,12 @@ the w_n gradient vanish identically. The oracle computes those roots as
 the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
 orthonormal Hermite recurrence (Golub and Welsch, Math. Comp. 23 (1969)
 221), zero diagonal and off-diagonal sqrt(k/2), k = 1..n-1, with LAPACK's
-tridiagonal eigensolver. It shares no code path with the optimizer it
-checks, which solves with LU factorisations of the w_n Hessian, certified
-positive definite by Gershgorin or else by a Cholesky test.
+tridiagonal eigensolver; `hermite_energy` gives their w_n exactly. It
+shares no code path with the optimizer it checks, which solves with LU
+factorisations of the w_n Hessian, certified positive definite by
+Gershgorin or else by a Cholesky test. For an even convex V, such as x^2/2
+and the quartic, the one minimizer is mirror-symmetric, and each Newton
+step is solved on the mirror half: an n // 2 square fold of the Hessian.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import ConvergenceError
 from .hamiltonian import Configuration, EnergyBreakdown, breakdown, energy, gradient
 from .model import EquilibriumMeasure, Potential, equilibrium_for, quadratic, semicircle_equilibrium
 
-__all__ = ["FeketeResult", "minimize", "hermite_oracle"]
+__all__ = ["FeketeResult", "minimize", "hermite_oracle", "hermite_energy"]
 
 #: Newton steps per start before `minimize` gives up on the tolerance
 MAX_ITER = 2000
@@ -39,6 +42,10 @@ class FeketeResult:
     # w_n after each accepted step of the winning start; monotone
     # non-increasing, strictly decreasing until decrements drop below ulp
     energy_trace: tuple[float, ...] = ()
+    # whether the Newton steps were folded onto the mirror half (V even and convex)
+    mirrored: bool = False
+    # Cholesky tests of the Newton matrices, over every start
+    cholesky_tests: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +67,18 @@ def hermite_oracle(n: int) -> Configuration:
     if n < 1:
         raise ValueError("n must be at least 1")
     return Configuration(math.sqrt(2.0 / n) * _hermite_roots(n))
+
+
+def hermite_energy(n: int) -> float:
+    """w_n at `hermite_oracle(n)`, the minimum of w_n for x^2/2, in closed
+    form: (n(n-1)/2)(1 + log n) - sum_{k=1..n} k log k, from Stieltjes's
+    discriminant of H_n (Szego, Orthogonal Polynomials, 1939, 6.71) and
+    the sum n(n-1)/2 of its squared zeros; the rounded terms are summed
+    exactly (`math.fsum`) and rounded once."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    half = n * (n - 1) / 2.0
+    return math.fsum([half, half * math.log(n), *(-k * math.log(k) for k in range(2, n + 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -96,55 +115,109 @@ def _factors(H: np.ndarray) -> bool:
     return True
 
 
-def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int) -> np.ndarray:
-    """Solve (H + s I) d = -g with the full w_n Hessian H: n diag V'' (exact,
-    from V's coefficients) plus the positive semidefinite Laplacian with
-    off-diagonal -2/(x_i-x_j)^2.
+def _hessian_rows(pts: np.ndarray, V: Potential, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `rows` rows of the w_n Hessian H, and n V'' at their points.
 
-    Row i of H + s I has diagonal minus off-diagonal sum n V''(x_i) + s,
-    so by Gershgorin H + s I is positive definite once min n V'' + s >= m =
-    MARGIN max |diag|, while n 2^-52 <= MARGIN keeps the rounding of the
-    row sums inside m. So s = 0 with no factorisation where min n V'' >= m
-    (every step of x^2/2, and of the quartic at even n); else s = 0 if H
-    passes a Cholesky test; else the floor s = max(0, -n min V'') + m,
-    which meets the certificate by construction. Past n = MARGIN 2^52 the
-    certificate lapses: the floor then takes a Cholesky test too, and
-    ConvergenceError if H + s I fails it. One LU solve gives d.
+    H is n diag V'' (exact, from V's coefficients) plus the positive
+    semidefinite Laplacian with off-diagonal -2/(x_i-x_j)^2, so each row
+    sums to n V''(x_i).
     """
-    H = pts[:, None] - pts[None, :]
+    H = pts[:rows, None] - pts[None, :]
     np.fill_diagonal(H, np.inf)
     H *= H
     np.divide(-2.0, H, out=H)
-    nvpp = n * V.deriv2(pts)
-    diag = nvpp - H.sum(axis=1)
+    nvpp = n * V.deriv2(pts[:rows])
+    np.fill_diagonal(H, nvpp - H.sum(axis=1))
+    return H, nvpp
+
+
+def _fold(H: np.ndarray) -> np.ndarray:
+    """F_ij = H_ij - H_{i,n-1-j} from the first m = n // 2 rows of H:
+    half of P^T H P, with P's column i the antisymmetric e_i - e_{n-1-i}."""
+    m = len(H)
+    return H[:, :m] - H[:, ::-1][:, :m]
+
+
+def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int,
+                 mirrored: bool) -> tuple[np.ndarray, int]:
+    """Solve (H + s I) d = -g with the w_n Hessian H (`_hessian_rows`);
+    return d and the number of Cholesky tests made.
+
+    Unmirrored, A = H. Row i of A + s I has diagonal minus off-diagonal
+    sum n V''(x_i) + s, so by Gershgorin A + s I is positive definite once
+    min n V'' + s >= m = MARGIN max |diag A|, while n 2^-52 <= MARGIN keeps
+    the rounding of the row sums inside m. So s = 0 with no factorisation
+    where min n V'' >= m (every step of a V with V'' > 0); else s = 0 if A passes a
+    Cholesky test; else the floor s = max(0, -n min V'') + m, which meets
+    the certificate by construction. Past n = MARGIN 2^52 the certificate
+    lapses: the floor then takes a Cholesky test too, and ConvergenceError
+    if A + s I fails it. One LU solve gives d.
+
+    Mirrored (V even and convex, pts == -pts[::-1] exactly), A is the fold
+    F = (1/2) P^T H P of `_fold`, built from rows i < n // 2 alone:
+
+    1. V'' >= 0 makes w_n strictly convex on ordered points: its Laplacian
+       part is strictly convex off translations, and n sum V(x_i + t) is
+       strictly convex in t. So w_n has one minimizer, and as V is even,
+       its mirror image -x[::-1] is a minimizer too: it is symmetric.
+    2. On symmetric points H commutes with the mirror and g is
+       antisymmetric, so Newton's d is antisymmetric, d = P d_h, and
+       (P^T H P) d_h = -P^T g reads F d_h = -g_h, g_h = (g_i - g_{n-1-i})/2:
+       the fold is Newton's step restricted to the symmetric points, and
+       d = [d_h, 0 at odd n's middle, -d_h reversed] keeps every iterate
+       exactly symmetric, since rounding commutes with negation.
+    3. F is symmetric bit for bit, as x_{n-1-j} = -x_j exactly. Its
+       off-diagonal -2/(x_i-x_j)^2 + 2/(x_i+x_j)^2 is negative (x_i, x_j <
+       0), and row i sums to n V''(x_i) plus 4/(x_i-x_k)^2 over the mirror
+       half k >= n - n // 2 and, at odd n, 2/x_i^2 from the middle point.
+       So the certificate above holds on F with min n V'' over rows
+       i < n // 2, F + s I is the fold of H + s I, and the odd-n quartic,
+       whose V''(0) = 0 sits on the dropped middle row, is certified too.
+    """
+    rows = n // 2 if mirrored else n
+    A, nvpp = _hessian_rows(pts, V, n, rows)
+    if mirrored:
+        A = _fold(A)
+        g = 0.5 * (g[:rows] - g[::-1][:rows])
+    diag = A.diagonal().copy()
     low = float(np.min(nvpp))
     margin = MARGIN * float(np.max(np.abs(diag)))
     certifiable = n * 2.0 ** -52 <= MARGIN
-    np.fill_diagonal(H, diag)
-    if not (certifiable and low >= margin) and not _factors(H):
-        np.fill_diagonal(H, diag + (max(0.0, -low) + margin))
-        if not (certifiable or _factors(H)):
-            raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
-    return np.linalg.solve(H, -g)
+    tests = 0
+    if not (certifiable and low >= margin):
+        tests = 1
+        if not _factors(A):
+            np.fill_diagonal(A, diag + (max(0.0, -low) + margin))
+            if not certifiable:
+                tests = 2
+                if not _factors(A):
+                    raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
+    d = np.linalg.solve(A, -g)
+    if mirrored:
+        d = np.concatenate([d, np.zeros(n % 2), -d[::-1]])
+    return d, tests
 
 
-def _descend(x0: np.ndarray, V: Potential, n: int,
-             tol: float) -> tuple[np.ndarray, float, float, int, bool, list[float]]:
-    """At most MAX_ITER Newton steps on w_n from the ordered start x0. Each
-    is halved until the points stay ordered and w falls, or rises by at most
-    rounding noise while the gradient falls; the trace keeps min w so far.
-    Returns the final points, their w_n and gradient sup-norm, the step
-    count, convergence and the trace.
+def _descend(x0: np.ndarray, V: Potential, n: int, tol: float,
+             mirrored: bool) -> tuple[np.ndarray, float, float, int, bool, list[float], int]:
+    """At most MAX_ITER Newton steps on w_n from the ordered start x0,
+    mirrored or not (see `_newton_step`). Each is halved until the points
+    stay ordered and w falls, or rises by at most rounding noise while the
+    gradient falls; the trace keeps min w so far. Returns the final points,
+    their w_n and gradient sup-norm, the step count, convergence, the
+    trace and the number of Cholesky tests.
     """
     pts = np.array(x0)
     w = w_pts = energy(Configuration(pts), V)
     g = gradient(Configuration(pts), V)
     gn = float(np.max(np.abs(g)))
     trace = [w]
+    tests = 0
     for it in range(MAX_ITER):
         if gn <= tol:
-            return pts, w_pts, gn, it, True, trace
-        d = _newton_step(pts, g, V, n)
+            return pts, w_pts, gn, it, True, trace, tests
+        d, step_tests = _newton_step(pts, g, V, n, mirrored)
+        tests += step_tests
         slack = 1e-14 * max(1.0, abs(w))
         step = 1.0
         for _ in range(60):
@@ -161,8 +234,8 @@ def _descend(x0: np.ndarray, V: Potential, n: int,
                         break
             step *= 0.5
         else:
-            return pts, w_pts, gn, it, False, trace
-    return pts, w_pts, gn, MAX_ITER, gn <= tol, trace
+            return pts, w_pts, gn, it, False, trace, tests
+    return pts, w_pts, gn, MAX_ITER, gn <= tol, trace, tests
 
 
 def minimize(
@@ -172,7 +245,7 @@ def minimize(
     tol: float | None = None,
     multistart: int = 3,
 ) -> FeketeResult:
-    """Minimize w_n by Newton's method on its full Hessian.
+    """Minimize w_n by Newton's method on its Hessian.
 
     Each step solves with the Hessian, Levenberg-shifted where V is not
     convex, and is halved until it keeps the points ordered and lowers
@@ -193,7 +266,11 @@ def minimize(
     The starts are the quantiles of `quantile_start`, all but the first
     jittered by 0.2 times the smallest gap (`jittered`); so is the first
     where V'' < 0 at a start point, since it can be a saddle of w_n (the
-    double well's 0 at odd n). n = 1 starts once, at V's global minimizer.
+    double well's 0 at odd n). A convex V starts once, unjittered: w_n
+    then has one minimizer (`_newton_step`), so more starts would only
+    repeat the descent; so does n = 1, at V's global minimizer. For an
+    even convex V that start is mirrored exactly, x0 = (base -
+    base[::-1]) / 2, and every Newton step is folded onto the mirror half.
 
     Returns
     -------
@@ -208,21 +285,22 @@ def minimize(
     elif not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     mu, consts = equilibrium_for(V) or (None, None)
-    if n == 1:
-        # V's global minimizer (`Potential.argmin`), so one start suffices
-        base = np.array([V.argmin])
+    # V's global minimizer (`Potential.argmin`) for n = 1
+    base = np.array([V.argmin]) if n == 1 else quantile_start(n, mu)
+    if n == 1 or V.convex:
         multistart = 1
-    else:
-        base = quantile_start(n, mu)
+    mirrored = n > 1 and V.even and V.convex
+    if mirrored:
+        base = 0.5 * (base - base[::-1])
 
     rng_master = np.random.default_rng(seed)
     runs = []
     for start in range(multistart):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
         x0 = base if start == 0 and np.all(V.deriv2(base) >= 0) else jittered(base, 0.2, rng)
-        runs.append(_descend(x0, V, n, tol))
+        runs.append(_descend(x0, V, n, tol, mirrored))
     # lowest final energy wins, ties to the smaller gradient, then the earlier start
-    pts, _, gn, its, ok, trace = min(runs, key=lambda r: r[1:3])
+    pts, _, gn, its, ok, trace, _ = min(runs, key=lambda r: r[1:3])
     cfg = Configuration(pts)
     bd = breakdown(cfg, V, mu, consts) if mu is not None else None
-    return FeketeResult(cfg, gn, its, ok, bd, tuple(trace))
+    return FeketeResult(cfg, gn, its, ok, bd, tuple(trace), mirrored, sum(r[-1] for r in runs))

@@ -90,7 +90,8 @@ class Potential:
     label : str
         Short human-readable name, for display only; not compared.
 
-    V', V'', `argmin` and the support bound `growth_check_radius` derive from coeffs.
+    V', V'', `argmin`, `even`, `convex` and the support bound
+    `growth_check_radius` derive from coeffs.
     """
 
     coeffs: tuple[float, ...]
@@ -120,6 +121,20 @@ class Potential:
         multiple root comes back slightly complex), the one of least V."""
         x = np.polynomial.polynomial.polyroots(self.deriv_coeffs[0]).real
         return float(x[np.argmin(self.eval(x))])
+
+    @cached_property
+    def even(self) -> bool:
+        """Whether V(-x) = V(x): no odd coefficient."""
+        return not any(self.coeffs[1::2])
+
+    @cached_property
+    def convex(self) -> bool:
+        """Whether V'' >= 0 on the line: V'' is not negative at the real
+        parts of the roots of V''', which include the minimizer of V'' (a
+        quadratic V'' is a positive constant, and V''' has no roots)."""
+        P = np.polynomial.polynomial
+        x = P.polyroots(P.polyder(self.deriv_coeffs[1])).real
+        return bool(np.all(self.deriv2(x) >= 0.0))
 
     @cached_property
     def growth_check_radius(self) -> float:

@@ -160,25 +160,30 @@ def check_fekete_oracle() -> tuple[bool, str]:
 
 @_check
 def check_ground_state_limit() -> tuple[bool, str]:
-    """|f_n| at minimizers approaches alpha = 1/2 monotonically.
+    """|f_n| at minimizers approaches alpha = 1/2 monotonically, and f_n
+    is the exact f_n of the Hermite zeros (`fekete.hermite_energy`).
 
     The distance ||f_n| - 1/2| must decrease strictly along
-    n in {16, 32, ..., 1024} and end below 0.15. The sign of f_n
-    itself is pinned separately in the regression suite.
+    n in {16, 32, ..., 1024} and end below 0.15, and |f_n - exact f_n|
+    stay within 1e-11 (8 ulp of w_n is 1.4e-12 in f_n at n = 1024). The
+    sign of f_n itself is pinned separately in the regression suite.
     """
     V = model_mod.quadratic()
     dists = []
     vals = []
+    errs = []
     for n in (16, 32, 64, 128, 256, 512, 1024):
-        res = fekete_mod.minimize(n, V, seed=11, multistart=1)
-        f_n = res.breakdown.f_n
-        vals.append(f_n)
-        dists.append(abs(abs(f_n) - 0.5))
+        bd = fekete_mod.minimize(n, V, seed=11, multistart=1).breakdown
+        vals.append(bd.f_n)
+        dists.append(abs(abs(bd.f_n) - 0.5))
+        # breakdown's f_n formula, applied to the exact minimum
+        errs.append(abs(bd.f_n - (fekete_mod.hermite_energy(n) - bd.leading + bd.log_term) / n))
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
-    ok = decreasing and dists[-1] < 0.15
+    ok = decreasing and dists[-1] < 0.15 and max(errs) <= 1e-11
     return ok, (
         f"f_n = {', '.join(f'{v:.6f}' for v in vals)}; "
-        f"||f_n|-1/2| = {', '.join(f'{d:.6f}' for d in dists)} strictly decreasing: {decreasing}"
+        f"||f_n|-1/2| = {', '.join(f'{d:.6f}' for d in dists)} strictly decreasing: {decreasing}; "
+        f"max |f_n - exact f_n| = {max(errs):.1e} (tol 1e-11)"
     )
 
 

@@ -152,6 +152,8 @@ def test_fekete_outputs_and_determinism(tmp_path):
     assert payload["converged"] is True
     assert len(payload["points"]) == 6
     assert payload["grad_norm"] <= 1e-8 * 6
+    # x^2/2 is even and convex: folded Newton steps, certified by Gershgorin
+    assert payload["mirrored"] is True and payload["cholesky_tests"] == 0
     manifest = json.loads((a / "manifest-fekete.json").read_text())
     assert manifest["command"] == "fekete"
     assert manifest["seed"] == 3

@@ -212,9 +212,10 @@ def test_deterministic_given_seed():
     assert a.iterations == b.iterations
 
 
-def two_factorisation_step(pts, g, V, n):
-    """The Newton step before the Gershgorin certificate: a Cholesky test
-    at s = 0, then at the floor s, and LU solve at the first s that passes."""
+def two_factorisation_step(pts, g, V, n, mirrored):
+    """The Newton step before the Gershgorin certificate and the fold: a
+    Cholesky test of the full H at s = 0, then at the floor s, and an LU
+    solve at the first s that passes; `mirrored` is ignored."""
     H = pts[:, None] - pts[None, :]
     np.fill_diagonal(H, np.inf)
     H *= H
@@ -222,51 +223,103 @@ def two_factorisation_step(pts, g, V, n):
     nvpp = n * V.deriv2(pts)
     diag = nvpp - H.sum(axis=1)
     floor = max(0.0, -float(np.min(nvpp))) + 1e-12 * float(np.max(np.abs(diag)))
-    for shift in (0.0, floor):
+    for tests, shift in enumerate((0.0, floor), start=1):
         np.fill_diagonal(H, diag + shift)
         with contextlib.suppress(np.linalg.LinAlgError):
             np.linalg.cholesky(H)
-            return np.linalg.solve(H, -g)
+            return np.linalg.solve(H, -g), tests
     raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
 
 
 def recorded_minimize(monkeypatch, step, n, V):
-    """minimize(n, V) with `step` as its Newton step, the (x, d) pairs of
-    every call, and the number of Cholesky factorisations."""
-    steps, factorisations, cholesky = [], [], np.linalg.cholesky
+    """minimize(n, V) with `step` as its Newton step, and the (x, g, d)
+    triples of every call."""
+    steps = []
 
-    def counting_cholesky(a):
-        factorisations.append(len(a))
-        return cholesky(a)
-
-    def recording_step(pts, g, V, n):
-        d = step(pts, g, V, n)
-        steps.append((pts.copy(), d))
-        return d
+    def recording_step(pts, g, V, n, mirrored):
+        d, tests = step(pts, g, V, n, mirrored)
+        steps.append((pts.copy(), g.copy(), d))
+        return d, tests
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "cholesky", counting_cholesky)
         m.setattr(fekete, "_newton_step", recording_step)
         res = minimize(n, V)
-    return res, steps, len(factorisations)
+    return res, steps
 
 
-@pytest.mark.parametrize("V, n", [(V2, 256), (quartic(), 16), (quartic(), 17), (double_well(), 16)],
-                         ids=["quadratic-256", "quartic-16", "quartic-17", "double_well-16"])
+# convex and not even: V'' = 1 + 0.6 x + 0.6 x^2 >= 0.85
+CONVEX_NOT_EVEN = polynomial([0.0, 0.3, 0.5, 0.1, 0.05])
+FOLDED = [(V2, 256), (quartic(), 16), (quartic(), 17)]
+FOLDED_IDS = ["quadratic-256", "quartic-16", "quartic-17"]
+
+
+@pytest.mark.parametrize("V, n", [*FOLDED, (double_well(), 16), (CONVEX_NOT_EVEN, 16)],
+                         ids=[*FOLDED_IDS, "double_well-16", "convex_not_even-16"])
 def test_newton_iterates_match_the_two_factorisation_step(monkeypatch, V, n):
-    new, new_steps, new_chol = recorded_minimize(monkeypatch, fekete._newton_step, n, V)
-    ref, ref_steps, ref_chol = recorded_minimize(monkeypatch, two_factorisation_step, n, V)
+    new, new_steps = recorded_minimize(monkeypatch, fekete._newton_step, n, V)
+    ref, ref_steps = recorded_minimize(monkeypatch, two_factorisation_step, n, V)
+    assert new.mirrored == (V.even and V.convex)
     assert len(new_steps) == len(ref_steps) and new.iterations == ref.iterations
-    for (x, d), (x_ref, d_ref) in zip(new_steps, ref_steps):
-        assert np.array_equal(x, x_ref) and np.array_equal(d, d_ref)
-    assert np.array_equal(new.config.points, ref.config.points)
-    assert new.energy_trace == ref.energy_trace
-    assert new_chol < ref_chol
-    # Gershgorin certifies every step of x^2/2; V'' < 0 needs a Cholesky test
-    if V is V2:
-        assert new_chol == 0
-    if np.min(V.deriv2(new.config.points)) < 0:
-        assert new_chol > 0
+    if new.mirrored:
+        # the folded and the full solve round differently; both end at the
+        # one minimizer, to 8 ulp of the largest |x|
+        scale = float(np.max(np.abs(ref.config.points)))
+        assert np.max(np.abs(new.config.points - ref.config.points)) <= 8 * 2.0 ** -52 * scale
+    else:
+        for (x, _, d), (x_ref, _, d_ref) in zip(new_steps, ref_steps):
+            assert np.array_equal(x, x_ref) and np.array_equal(d, d_ref)
+        assert np.array_equal(new.config.points, ref.config.points)
+        assert new.energy_trace == ref.energy_trace
+    assert new.cholesky_tests < ref.cholesky_tests
+    # Gershgorin certifies every step of a convex V, the odd-n quartic's
+    # folded steps among them (V''(0) = 0 is the dropped middle row); V'' < 0
+    # needs a Cholesky test
+    assert (new.cholesky_tests > 0) == (np.min(V.deriv2(new.config.points)) < 0)
+
+
+@pytest.mark.parametrize("V, n", FOLDED, ids=FOLDED_IDS)
+def test_folded_steps_are_the_full_newton_steps(monkeypatch, V, n):
+    res, steps = recorded_minimize(monkeypatch, fekete._newton_step, n, V)
+    assert res.mirrored and steps
+    for x, g, d in steps:
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(d, -d[::-1])
+        full = np.linalg.solve(fekete._hessian_rows(x, V, n, n)[0], -g)
+        # the two solves' rounding, and g's rounding asymmetry (|g + g[::-1]|
+        # about 2e-13 at n = 256) through H^-1, which the fold drops
+        assert np.max(np.abs(d - full)) <= 1e-9 * np.max(np.abs(full)) + 1e-12
+    assert np.array_equal(res.config.points, -res.config.points[::-1])
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 65])
+def test_fold_at_the_hermite_zeros_has_the_even_hessian_eigenvalues(n):
+    # H = n {1, ..., n} at x*; the antisymmetric eigenvectors carry the even
+    # multiples, so a sign error or a wrong mirror column moves them by O(1)
+    F = fekete._fold(fekete._hessian_rows(hermite_oracle(n).points, V2, n, n // 2)[0])
+    assert np.array_equal(F, F.T)
+    assert np.max(np.abs(np.linalg.eigvalsh(F) / n - 2.0 * np.arange(1, n // 2 + 1))) <= 1e-10
+
+
+@pytest.mark.parametrize("V", [V2, quartic(), CONVEX_NOT_EVEN], ids=["quadratic", "quartic", "convex_not_even"])
+def test_convex_v_starts_once(V):
+    # w_n has one minimizer, so further starts would only repeat the descent
+    a, b = minimize(16, V, seed=0), minimize(16, V, seed=5, multistart=1)
+    assert np.array_equal(a.config.points, b.config.points) and a.iterations == b.iterations
+
+
+#: relative bound on |w_n - hermite_energy(n)|, in units of 2^-52
+HERMITE_ENERGY_ULPS = 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 512, 1024, 2048, 4096])
+def test_hermite_energy_is_the_energy_of_the_oracle(n):
+    exact = fekete.hermite_energy(n)
+    assert abs(energy(hermite_oracle(n), V2) - exact) <= HERMITE_ENERGY_ULPS * 2.0 ** -52 * abs(exact)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 2048])
+def test_hermite_energy_is_the_minimum(n):
+    exact = fekete.hermite_energy(n)
+    assert abs(minimize(n, V2).breakdown.w_n - exact) <= HERMITE_ENERGY_ULPS * 2.0 ** -52 * abs(exact)
 
 
 def test_uncertified_shift_that_does_not_factor_raises(monkeypatch):

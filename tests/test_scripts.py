@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 CASES = [
     ("fekete_convergence.py", ["--ns", "4,8"],
-     ["n", "f_n", "gap_to_half", "oracle_sup_gap", "oracle_grad_sup", "seconds"]),
+     ["n", "f_n", "exact_f_n", "gap_to_half", "oracle_sup_gap", "oracle_grad_sup", "seconds"]),
     ("crystallization_sweep.py", ["--n", "4", "--betas", "1,2", "--seeds", "1", "--steps", "2000"],
      ["beta", "seed", "spacing_var", "acceptance", "r_hat"]),
 ]
