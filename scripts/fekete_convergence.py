@@ -4,38 +4,29 @@
 Minimizes w_n for a doubling ladder of n, records f_n beside its exact
 value at the Hermite zeros (`hermite_energy`) and its gap to the limiting
 magnitude 1/2, and cross-checks each minimizer against the scaled
-Hermite-root oracle. The gap shrinks roughly like 1/n.
+Hermite-root oracle. The runs are the ladder of the fekete-oracle and
+ground-state-limit checks (`loggas.verify.ground_state_ladder`). The gap
+shrinks roughly like 1/n.
 """
 
 import argparse
 import csv
-import time
 
 import numpy as np
 
-from loggas import gradient, hermite_oracle, minimize, quadratic
-from loggas.fekete import hermite_energy
+from loggas.verify import ground_state_ladder
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ns", default="16,32,64,128,256")
-    ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--out", default="fekete_convergence.csv")
     args = ap.parse_args()
 
-    V = quadratic()
     rows = []
-    for n in (int(v) for v in args.ns.split(",")):
-        t0 = time.perf_counter()
-        res = minimize(n, V, seed=args.seed, multistart=1)
-        dt = time.perf_counter() - t0
-        oracle = hermite_oracle(n)
+    for res, oracle, grad_at_oracle, exact_f_n, dt in ground_state_ladder(int(v) for v in args.ns.split(",")):
+        n, f_n = res.config.n, res.breakdown.f_n
         oracle_gap = float(np.max(np.abs(res.config.points - oracle.points)))
-        grad_at_oracle = float(np.max(np.abs(gradient(oracle, V))))
-        bd = res.breakdown
-        f_n = bd.f_n
-        exact_f_n = (hermite_energy(n) - bd.leading + bd.log_term) / n
         rows.append([n, repr(f_n), repr(exact_f_n), repr(abs(abs(f_n) - 0.5)), repr(oracle_gap), repr(grad_at_oracle), f"{dt:.2f}"])
         print(
             f"n={n:<5d} f_n={f_n:+.10f} (exact {exact_f_n:+.10f})  | |f_n|-1/2 | = {abs(abs(f_n)-0.5):.6f}  "

@@ -199,7 +199,7 @@ def _cmd_partition(args) -> Result:
     method, n, beta = args.method or "exact-quadratic", args.n, args.beta
     err = 0.0
     if method == "exact-quadratic":
-        if model_mod.equilibrium_for(V) is None:
+        if V != model_mod.quadratic():
             raise ValueError("exact-quadratic method requires the quadratic potential")
         log_z = partition_mod.mehta_log_z(n, beta)
     elif method == "quadrature":
@@ -212,12 +212,9 @@ def _cmd_partition(args) -> Result:
 
 
 def _cmd_partition_sweep(args) -> Result:
-    _, consts = model_mod.equilibrium_for(model_mod.quadratic())
-    rows = []
-    for n in [int(t) for t in args.n.split(",")]:
-        for beta in [float(t) for t in args.beta.split(",")]:
-            rep = partition_mod.next_order_report(n, beta, consts, partition_mod.mehta_log_z(n, beta))
-            rows.append([n, _fmt(beta), _fmt(rep.log_z), _fmt(rep.next_order), rep.method])
+    reports = partition_mod.next_order_sweep([int(t) for t in args.n.split(",")],
+                                             [float(t) for t in args.beta.split(",")])
+    rows = [[r.n, _fmt(r.beta), _fmt(r.log_z), _fmt(r.next_order), r.method] for r in reports]
     return Result({"partition_sweep.csv": _csv(["n", "beta", "log_z", "next_order", "method"], rows)})
 
 

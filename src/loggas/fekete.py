@@ -115,8 +115,8 @@ def _factors(H: np.ndarray) -> bool:
     return True
 
 
-def _hessian_rows(pts: np.ndarray, V: Potential, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first `rows` rows of the w_n Hessian H, and n V'' at their points.
+def _hessian_rows(pts: np.ndarray, V: Potential, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `rows` rows of the w_n Hessian H of the n `pts`, and n V'' at their points.
 
     H is n diag V'' (exact, from V's coefficients) plus the positive
     semidefinite Laplacian with off-diagonal -2/(x_i-x_j)^2, so each row
@@ -126,7 +126,7 @@ def _hessian_rows(pts: np.ndarray, V: Potential, n: int, rows: int) -> tuple[np.
     np.fill_diagonal(H, np.inf)
     H *= H
     np.divide(-2.0, H, out=H)
-    nvpp = n * V.deriv2(pts[:rows])
+    nvpp = len(pts) * V.deriv2(pts[:rows])
     np.fill_diagonal(H, nvpp - H.sum(axis=1))
     return H, nvpp
 
@@ -138,8 +138,7 @@ def _fold(H: np.ndarray) -> np.ndarray:
     return H[:, :m] - H[:, ::-1][:, :m]
 
 
-def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int,
-                 mirrored: bool) -> tuple[np.ndarray, int]:
+def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, mirrored: bool) -> tuple[np.ndarray, int]:
     """Solve (H + s I) d = -g with the w_n Hessian H (`_hessian_rows`);
     return d and the number of Cholesky tests made.
 
@@ -174,8 +173,9 @@ def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int,
        i < n // 2, F + s I is the fold of H + s I, and the odd-n quartic,
        whose V''(0) = 0 sits on the dropped middle row, is certified too.
     """
+    n = len(pts)
     rows = n // 2 if mirrored else n
-    A, nvpp = _hessian_rows(pts, V, n, rows)
+    A, nvpp = _hessian_rows(pts, V, rows)
     if mirrored:
         A = _fold(A)
         g = 0.5 * (g[:rows] - g[::-1][:rows])
@@ -198,7 +198,7 @@ def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, n: int,
     return d, tests
 
 
-def _descend(x0: np.ndarray, V: Potential, n: int, tol: float,
+def _descend(x0: np.ndarray, V: Potential, tol: float,
              mirrored: bool) -> tuple[np.ndarray, float, float, int, bool, list[float], int]:
     """At most MAX_ITER Newton steps on w_n from the ordered start x0,
     mirrored or not (see `_newton_step`). Each is halved until the points
@@ -216,7 +216,7 @@ def _descend(x0: np.ndarray, V: Potential, n: int, tol: float,
     for it in range(MAX_ITER):
         if gn <= tol:
             return pts, w_pts, gn, it, True, trace, tests
-        d, step_tests = _newton_step(pts, g, V, n, mirrored)
+        d, step_tests = _newton_step(pts, g, V, mirrored)
         tests += step_tests
         slack = 1e-14 * max(1.0, abs(w))
         step = 1.0
@@ -298,7 +298,7 @@ def minimize(
     for start in range(multistart):
         rng = np.random.default_rng(rng_master.integers(0, 2**63 - 1))
         x0 = base if start == 0 and np.all(V.deriv2(base) >= 0) else jittered(base, 0.2, rng)
-        runs.append(_descend(x0, V, n, tol, mirrored))
+        runs.append(_descend(x0, V, tol, mirrored))
     # lowest final energy wins, ties to the smaller gradient, then the earlier start
     pts, _, gn, its, ok, trace, _ = min(runs, key=lambda r: r[1:3])
     cfg = Configuration(pts)

@@ -543,11 +543,12 @@ def solve_equilibrium(V: Potential, grid: np.ndarray, tol: float = 1e-3) -> Equi
     # K is symmetric, so its spectral norm is at most its largest absolute row sum
     step = 1.0 / (2.0 * float(np.max(np.sum(np.abs(K), axis=1))) + 1.0)
 
-    def residual(wv):
+    def residual(wv, gv):
         sup = wv > 1e-10
         if sup.sum() < 4:
             return np.inf
-        r = K @ wv + Vn / 2.0
+        # K w + V/2, bit for bit: halving the gradient 2 K w + V is exact
+        r = gv / 2.0
         return float(np.max(np.abs(r[sup] - _robin_constant(r, wv))))
 
     res = np.inf
@@ -564,7 +565,7 @@ def solve_equilibrium(V: Potential, grid: np.ndarray, tol: float = 1e-3) -> Equi
             step *= 1.5
         w, g = w_new, g_new
         if iterations % 25 == 0 or iterations == MAX_ITER:
-            res = residual(w)
+            res = residual(w, g)
             if res < tol:
                 break
     # res is this w's, from the last check

@@ -28,7 +28,7 @@ from scipy.special import gammaln
 from .errors import ConvergenceError
 from .fekete import minimize
 from .hamiltonian import check_beta, energy
-from .model import ModelConstants, Potential, blend, quadratic
+from .model import ModelConstants, Potential, blend, equilibrium_for, quadratic
 from .sampler import SamplerConfig, run_many
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "quadrature_log_z",
     "thermo_log_z",
     "next_order_report",
+    "next_order_sweep",
 ]
 
 
@@ -139,7 +140,7 @@ def quadrature_log_z(n: int, beta: float, V: Potential | None = None) -> float:
     lo, hi = _grow_box(log_f, peak, centre, centre, beta)
     log_images = 0.0
     mirror = -ground.points[::-1]
-    if not any(V.coeffs[1::2]) and not np.allclose(mirror, ground.points, rtol=0.0, atol=1e-6):
+    if V.even and not np.allclose(mirror, ground.points, rtol=0.0, atol=1e-6):
         # the image of the box under x -> -x[::-1]: x_1 becomes -x_n, and the u reverse
         image_lo = np.concatenate([[-(hi[0] + np.sum(hi[1:] ** p))], lo[:0:-1]])
         image_hi = np.concatenate([[-(lo[0] + np.sum(lo[1:] ** p))], hi[:0:-1]])
@@ -254,3 +255,10 @@ def next_order_report(
         next_order=no,
         error_bar=error_bar / (n * beta) if error_bar else 0.0,
     )
+
+
+def next_order_sweep(ns, betas) -> list[PartitionReport]:
+    """The next-order reports of x^2/2 from its exact log Z (`mehta_log_z`)
+    over the grid ns x betas, n-major."""
+    _, consts = equilibrium_for(quadratic())
+    return [next_order_report(n, beta, consts, mehta_log_z(n, beta)) for n in ns for beta in betas]

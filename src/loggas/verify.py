@@ -140,17 +140,28 @@ def check_field_equivalence(fast: bool = False) -> tuple[bool, str]:
     return worst <= FIELD_RTOL, f"max relative quadrature error {worst:.2%} over {len(rows)} configs"
 
 
+def ground_state_ladder(ns):
+    """The Fekete ladder of x^2/2: one start of `minimize` per n, never
+    jittered as x^2/2 is convex, so no seed enters. Returns, per n, the
+    result, the Hermite-root oracle, sup |gradient| at the oracle, the exact
+    f_n (breakdown's f_n of `hermite_energy`) and the solve's seconds."""
+    V = model_mod.quadratic()
+    rows = []
+    for n in ns:
+        t0 = time.perf_counter()
+        res = fekete_mod.minimize(n, V, multistart=1)
+        seconds = time.perf_counter() - t0
+        oracle, bd = fekete_mod.hermite_oracle(n), res.breakdown
+        rows.append((res, oracle, float(np.abs(gradient(oracle, V)).max()),
+                     (fekete_mod.hermite_energy(n) - bd.leading + bd.log_term) / n, seconds))
+    return rows
+
+
 @_check
 def check_fekete_oracle() -> tuple[bool, str]:
-    V = model_mod.quadratic()
-    worst_gap = 0.0
-    worst_grad = 0.0
-    for n in [*range(2, 65), 128, 256, 512, 1024]:
-        oracle = fekete_mod.hermite_oracle(n)
-        g = gradient(oracle, V)
-        worst_grad = max(worst_grad, np.abs(g).max() / n)
-        res = fekete_mod.minimize(n, V, seed=3, multistart=1)
-        worst_gap = max(worst_gap, np.abs(res.config.points - oracle.points).max())
+    ladder = ground_state_ladder([*range(2, 65), 128, 256, 512, 1024])
+    worst_gap = max(float(np.abs(res.config.points - oracle.points).max()) for res, oracle, *_ in ladder)
+    worst_grad = max(grad / res.config.n for res, _, grad, *_ in ladder)
     ok = worst_gap <= 1e-8 and worst_grad <= 1e-9
     return ok, (
         f"sup |minimizer - scaled Hermite roots| = {worst_gap:.2e} (tol 1e-8), "
@@ -168,22 +179,16 @@ def check_ground_state_limit() -> tuple[bool, str]:
     stay within 1e-11 (8 ulp of w_n is 1.4e-12 in f_n at n = 1024). The
     sign of f_n itself is pinned separately in the regression suite.
     """
-    V = model_mod.quadratic()
-    dists = []
-    vals = []
-    errs = []
-    for n in (16, 32, 64, 128, 256, 512, 1024):
-        bd = fekete_mod.minimize(n, V, seed=11, multistart=1).breakdown
-        vals.append(bd.f_n)
-        dists.append(abs(abs(bd.f_n) - 0.5))
-        # breakdown's f_n formula, applied to the exact minimum
-        errs.append(abs(bd.f_n - (fekete_mod.hermite_energy(n) - bd.leading + bd.log_term) / n))
+    ladder = ground_state_ladder((16, 32, 64, 128, 256, 512, 1024))
+    vals = [res.breakdown.f_n for res, *_ in ladder]
+    dists = [abs(abs(v) - 0.5) for v in vals]
+    err = max(abs(res.breakdown.f_n - exact) for res, _, _, exact, _ in ladder)
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
-    ok = decreasing and dists[-1] < 0.15 and max(errs) <= 1e-11
+    ok = decreasing and dists[-1] < 0.15 and err <= 1e-11
     return ok, (
         f"f_n = {', '.join(f'{v:.6f}' for v in vals)}; "
         f"||f_n|-1/2| = {', '.join(f'{d:.6f}' for d in dists)} strictly decreasing: {decreasing}; "
-        f"max |f_n - exact f_n| = {max(errs):.1e} (tol 1e-11)"
+        f"max |f_n - exact f_n| = {err:.1e} (tol 1e-11)"
     )
 
 
@@ -209,12 +214,9 @@ def check_partition_oracles() -> tuple[bool, str]:
 
 @_check
 def check_next_order_bounds() -> tuple[bool, str]:
-    _, consts = model_mod.equilibrium_for(model_mod.quadratic())
-    worst = 0.0
-    for n in (8, 16, 32, 64, 128, 256, 512):
-        rep = partition_mod.next_order_report(n, 2.0, consts, partition_mod.mehta_log_z(n, 2.0))
-        worst = max(worst, abs(rep.next_order))
-    rep = partition_mod.next_order_report(256, 1e4, consts, partition_mod.mehta_log_z(256, 1e4))
+    reps = partition_mod.next_order_sweep((8, 16, 32, 64, 128, 256, 512), (2.0,))
+    worst = max(abs(rep.next_order) for rep in reps)
+    (rep,) = partition_mod.next_order_sweep((256,), (1e4,))
     gap = abs(abs(rep.next_order) - 0.25)
     ok = worst <= 1.0 and gap <= 0.05
     return ok, (

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loggas import mehta_log_z, polynomial, quartic, solve_equilibrium
+from loggas import mehta_log_z, model, polynomial, quadratic, quartic, solve_equilibrium
 from loggas.cli import dispatch
 from loggas.model import measure_from_json
 
@@ -259,6 +259,19 @@ def test_partition_polynomial_half_x_squared_is_exact(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["method"] == "exact-quadratic"
     assert rep["log_z"] == mehta_log_z(2, 2.0)
+
+
+def test_exact_quadratic_refuses_the_quartic(capsys):
+    assert dispatch(["partition", "--n", "2", "--beta", "2", "--potential", "quartic"]) == 1
+    assert capsys.readouterr().err == "error: exact-quadratic method requires the quadratic potential\n"
+
+
+def test_exact_quadratic_refuses_a_v_with_a_closed_form_equilibrium(monkeypatch, capsys):
+    # Mehta's integral is the log Z of x^2/2 alone, whatever else has a closed-form equilibrium
+    semicircle = model.equilibrium_for(quadratic())
+    monkeypatch.setattr(model, "equilibrium_for", lambda V: semicircle)
+    assert dispatch(["partition", "--n", "2", "--beta", "2", "--potential", "quartic"]) == 1
+    assert capsys.readouterr().err == "error: exact-quadratic method requires the quadratic potential\n"
 
 
 def test_sample_rejects_a_v_that_does_not_confine(capsys):

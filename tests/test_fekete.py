@@ -212,7 +212,7 @@ def test_deterministic_given_seed():
     assert a.iterations == b.iterations
 
 
-def two_factorisation_step(pts, g, V, n, mirrored):
+def two_factorisation_step(pts, g, V, mirrored):
     """The Newton step before the Gershgorin certificate and the fold: a
     Cholesky test of the full H at s = 0, then at the floor s, and an LU
     solve at the first s that passes; `mirrored` is ignored."""
@@ -220,7 +220,7 @@ def two_factorisation_step(pts, g, V, n, mirrored):
     np.fill_diagonal(H, np.inf)
     H *= H
     np.divide(-2.0, H, out=H)
-    nvpp = n * V.deriv2(pts)
+    nvpp = len(pts) * V.deriv2(pts)
     diag = nvpp - H.sum(axis=1)
     floor = max(0.0, -float(np.min(nvpp))) + 1e-12 * float(np.max(np.abs(diag)))
     for tests, shift in enumerate((0.0, floor), start=1):
@@ -236,8 +236,8 @@ def recorded_minimize(monkeypatch, step, n, V):
     triples of every call."""
     steps = []
 
-    def recording_step(pts, g, V, n, mirrored):
-        d, tests = step(pts, g, V, n, mirrored)
+    def recording_step(pts, g, V, mirrored):
+        d, tests = step(pts, g, V, mirrored)
         steps.append((pts.copy(), g.copy(), d))
         return d, tests
 
@@ -283,7 +283,7 @@ def test_folded_steps_are_the_full_newton_steps(monkeypatch, V, n):
     assert res.mirrored and steps
     for x, g, d in steps:
         assert np.array_equal(x, -x[::-1]) and np.array_equal(d, -d[::-1])
-        full = np.linalg.solve(fekete._hessian_rows(x, V, n, n)[0], -g)
+        full = np.linalg.solve(fekete._hessian_rows(x, V, n)[0], -g)
         # the two solves' rounding, and g's rounding asymmetry (|g + g[::-1]|
         # about 2e-13 at n = 256) through H^-1, which the fold drops
         assert np.max(np.abs(d - full)) <= 1e-9 * np.max(np.abs(full)) + 1e-12
@@ -294,9 +294,18 @@ def test_folded_steps_are_the_full_newton_steps(monkeypatch, V, n):
 def test_fold_at_the_hermite_zeros_has_the_even_hessian_eigenvalues(n):
     # H = n {1, ..., n} at x*; the antisymmetric eigenvectors carry the even
     # multiples, so a sign error or a wrong mirror column moves them by O(1)
-    F = fekete._fold(fekete._hessian_rows(hermite_oracle(n).points, V2, n, n // 2)[0])
+    F = fekete._fold(fekete._hessian_rows(hermite_oracle(n).points, V2, n // 2)[0])
     assert np.array_equal(F, F.T)
     assert np.max(np.abs(np.linalg.eigvalsh(F) / n - 2.0 * np.arange(1, n // 2 + 1))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 16, 128])
+def test_hessian_at_the_hermite_zeros_has_eigenvalues_n_times_1_to_n(n):
+    # the whole spectrum, odd multiples (symmetric eigenvectors) included,
+    # which the fold above does not see
+    H = fekete._hessian_rows(hermite_oracle(n).points, V2, n)[0]
+    assert np.array_equal(H, H.T)
+    assert np.max(np.abs(np.linalg.eigvalsh(H) / n - np.arange(1, n + 1))) <= 1e-10
 
 
 @pytest.mark.parametrize("V", [V2, quartic(), CONVEX_NOT_EVEN], ids=["quadratic", "quartic", "convex_not_even"])

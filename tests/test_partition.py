@@ -20,6 +20,7 @@ from loggas import (
     semicircle_equilibrium,
     thermo_log_z,
 )
+from loggas import fekete
 from loggas.hamiltonian import Configuration, energy
 from loggas.partition import _chain_block_means
 
@@ -99,9 +100,7 @@ def test_quadrature_counts_both_double_well_minima():
     V, n, beta = double_well(), 3, 100.0
     x = minimize(n, V, seed=0).config.points
     assert not np.allclose(-x[::-1], x, atol=1e-3)
-    H = -2.0 / (x[:, None] - x[None, :] + np.eye(n)) ** 2
-    np.fill_diagonal(H, 0.0)
-    np.fill_diagonal(H, n * V.deriv2(x) - H.sum(axis=1))
+    H = fekete._hessian_rows(x, V, n)[0]
     sign, logdet = np.linalg.slogdet(0.5 * beta * H)
     assert sign > 0
     w_star = energy(Configuration(x), V)
