@@ -37,7 +37,7 @@ from .hamiltonian import (
     energy,
     gradient,
 )
-from .fekete import FeketeResult, hermite_oracle, minimize
+from .fekete import FeketeResult, hermite_oracle, hessian, minimize
 from .field import CylinderField, make_field, w_quadrature
 from .sampler import GasStatistics, SamplerConfig, metropolis_accept, run, run_many
 from .partition import (
@@ -72,6 +72,7 @@ __all__ = [
     "equilibrium_for",
     "gradient",
     "hermite_oracle",
+    "hessian",
     "lattice",
     "lattice_min",
     "log_potential",

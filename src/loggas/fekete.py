@@ -9,10 +9,11 @@ orthonormal Hermite recurrence (Golub and Welsch, Math. Comp. 23 (1969)
 221), zero diagonal and off-diagonal sqrt(k/2), k = 1..n-1, with LAPACK's
 tridiagonal eigensolver; `hermite_energy` gives their w_n exactly. It
 shares no code path with the optimizer it checks, which solves with LU
-factorisations of the w_n Hessian, certified positive definite by
-Gershgorin or else by a Cholesky test. For an even convex V, such as x^2/2
-and the quartic, the one minimizer is mirror-symmetric, and each Newton
-step is solved on the mirror half: an n // 2 square fold of the Hessian.
+factorisations of the w_n Hessian (`hessian`), certified positive
+definite by Gershgorin or else by a Cholesky test. For an even convex V,
+such as x^2/2 and the quartic, the one minimizer is mirror-symmetric, and
+each Newton step is solved on the mirror half: an n // 2 square fold of
+the Hessian.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .hamiltonian import Configuration, EnergyBreakdown, breakdown, energy, gradient
+from .hamiltonian import Configuration, EnergyBreakdown, _split, energy, gradient
 from .model import EquilibriumMeasure, Potential, equilibrium_for, quadratic, semicircle_equilibrium
 
-__all__ = ["FeketeResult", "minimize", "hermite_oracle", "hermite_energy"]
+__all__ = ["FeketeResult", "minimize", "hessian", "hermite_oracle", "hermite_energy"]
 
 #: Newton steps per start before `minimize` gives up on the tolerance
 MAX_ITER = 2000
@@ -129,6 +130,13 @@ def _hessian_rows(pts: np.ndarray, V: Potential, rows: int) -> tuple[np.ndarray,
     nvpp = len(pts) * V.deriv2(pts[:rows])
     np.fill_diagonal(H, nvpp - H.sum(axis=1))
     return H, nvpp
+
+
+def hessian(pts: np.ndarray, V: Potential) -> np.ndarray:
+    """The n x n Hessian of w_n at the n ordered `pts`: off-diagonal
+    -2/(x_i-x_j)^2, and on the diagonal n V''(x_i) minus the off-diagonal
+    row sum (`_hessian_rows` with every row)."""
+    return _hessian_rows(pts, V, len(pts))[0]
 
 
 def _fold(H: np.ndarray) -> np.ndarray:
@@ -300,7 +308,7 @@ def minimize(
         x0 = base if start == 0 and np.all(V.deriv2(base) >= 0) else jittered(base, 0.2, rng)
         runs.append(_descend(x0, V, tol, mirrored))
     # lowest final energy wins, ties to the smaller gradient, then the earlier start
-    pts, _, gn, its, ok, trace, _ = min(runs, key=lambda r: r[1:3])
+    pts, w, gn, its, ok, trace, _ = min(runs, key=lambda r: r[1:3])
     cfg = Configuration(pts)
-    bd = breakdown(cfg, V, mu, consts) if mu is not None else None
+    bd = _split(cfg, w, V, mu, consts) if mu is not None else None
     return FeketeResult(cfg, gn, its, ok, bd, tuple(trace), mirrored, sum(r[-1] for r in runs))

@@ -71,6 +71,8 @@ BLOCK_ELEMENTS = 1 << 15
 #: r x r corner an `energy` block discards is at most a sixteenth of it
 BLOCK_ROWS = math.isqrt(BLOCK_ELEMENTS // 8)
 _CORNER = np.tri(BLOCK_ROWS, dtype=bool)
+#: the strict corner a mirrored block also discards, counted from its right end
+_STRICT = np.tri(BLOCK_ROWS, k=-1, dtype=bool)
 
 
 def _block_rows(n: int) -> int:
@@ -81,64 +83,123 @@ def _block_rows(n: int) -> int:
 def energy(config: Configuration, V: Potential) -> float:
     """w_n with each unordered pair counted twice.
 
-    The pair sum is the correctly rounded sum of the terms
+    The pair sum is the correctly rounded sum S of the terms
     t = log(x_j - x_i), i < j: the float that `math.fsum` of their list
     returns, at every n. Rows [a0, a1) of the pair-difference matrix form
     one block, x[a0:] - x[a0:a1, None], whose corner c <= r is set to 1
-    and so adds log 1 = 0. Each block of L terms is summed exactly by
-    error-free extraction (`_extracted_sums`; Rump, Ogita and Oishi, SIAM
-    J. Sci. Comput. 31 (2008) 189, their ExtractVector). With 2^M >= L + 2
-    and sigma = 2^(M + e), where 2^e > max |t|, one pass takes
+    and so adds log 1 = 0.
 
-        q = (sigma + t) - sigma,    t <- t - q,
+    Extraction. A block of L terms is split by error-free extraction
+    (`_extracted_sums`; Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31
+    (2008) 189, their ExtractVector). With 2^M >= L + 2 and
+    sigma = 2^(M + e), where 2^e > max |t|, one pass takes
 
-    both exact: q is t rounded to a multiple of 2^-53 sigma, and the new
-    residual t has |t| <= 2^-53 sigma. Every q is a multiple of 2^-53 sigma
-    of size at most 2^e, so any partial sum of the L values q is below
-    sigma and exact, and `q.sum()` is the exact sum in whatever order
-    numpy adds. Passes repeat until the residual is zero. A gap is a
-    double from 2^-1074 to below 2^1024, and the doubles next to 1 are
-    1 - 2^-53 and 1 + 2^-52, so a pair log is 0 or has
-    2^-53 <= |t| < 745: a multiple of 2^-105 with e <= 10. A pass lowers
-    e by at least 52 - M, and a nonzero residual keeps e >= -104, so a
-    block takes at most 1 + 114 // (52 - M) passes (4 at L = 2^15),
-    usually 2; `ArithmeticError` if it ever takes more.
+        q = (sigma + t) - sigma,    r = t - q,
 
-    One `math.fsum` over every block's sums, about 70 floats at n = 1024,
-    rounds the exact total once.
+    both exact: q is t rounded to a multiple of 2^-53 sigma, and
+    |r| <= 2^-53 sigma. Every q is a multiple of 2^-53 sigma of size at
+    most 2^e, so any partial sum of the L values q is below sigma and
+    exact, and `q.sum()` is the exact sum in whatever order numpy adds.
+
+    Certificate. One pass per block, and the residuals summed in floats,
+    `r.sum()`. In any order of addition that float is within
+    gamma_(L-1) sum |r| of the exact residual sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 4.2; an addition whose
+    result is subnormal is exact, so no underflow term enters), and
+    gamma_(L-1) = (L-1) 2^-53 / (1 - (L-1) 2^-53) < L 2^-52 and
+    sum |r| <= L 2^-53 sigma give the bound b = L^2 2^-105 sigma, a
+    double exactly (L <= 2^15). So the exact sum P of the blocks' floats
+    (q sums and r sums) lies within B = sum b of S. `math.fsum` rounds
+    P - B and P + B correctly, each b a list entry of its own, so B is
+    never rounded; rounding to nearest is monotone, so if the two agree,
+    the float between them, round(S), is that one float. They differ
+    when S, or P, lies within B of a rounding boundary, above all when S
+    is exactly the midpoint of two doubles: an a-priori B cannot certify
+    a tie, and at n = 3 about one normal draw in six sums to one. Then
+    every block is extracted again to a zero residual, the rounding of
+    the exact sum is the answer, and no bound is involved.
+
+    Termination of that fallback. A gap is a double from 2^-1074 to
+    below 2^1024, and the doubles next to 1 are 1 - 2^-53 and
+    1 + 2^-52, so a pair log is 0 or has 2^-53 <= |t| < 745: a multiple
+    of 2^-105 with e <= 10. A pass lowers e by at least 52 - M, and a
+    nonzero residual keeps e >= -104, so a block takes at most
+    1 + 114 // (52 - M) passes (4 at L = 2^15), usually 2;
+    `ArithmeticError` if it ever takes more.
+
+    Mirror. When x == -x[::-1] exactly (an O(n) test), pair (i, j) and
+    its mirror (n-1-j, n-1-i) have the same exact difference
+    x_j - x_i = (-x_i) - (-x_j), so the same rounded float and the same
+    log. The pairs with i + j < n - 1 are then summed at weight 2 (a
+    doubling, exact), and the n // 2 self-mirror pairs
+    log(x_(n-1-i) - x_i) join the list as they are. That is the same
+    multiset of logs, so the same S and the same float, from half the
+    matrix: rows i < (n - 1) // 2, a block over columns [a0, n - 1 - a0),
+    whose row k also has its right corner, the last k columns, set to 1.
+
+    One `math.fsum` over the blocks' floats, 64 at n = 1024 (two a
+    block), and their bounds rounds the total once.
     """
     pts = config.points
     n = len(pts)
-    rows = _block_rows(n)
-    parts = []
-    for a0 in range(0, n, rows):
-        a1 = min(n, a0 + rows)
-        r = a1 - a0
-        t = pts[a0:] - pts[a0:a1, None]
-        np.copyto(t[:, :r], 1.0, where=_CORNER[:r, :r])
-        parts += _extracted_sums(np.log(t, out=t).ravel())
-    interaction = -2.0 * math.fsum(parts)
+    mirrored = np.array_equal(pts, -pts[::-1])
+    sums, bounds = _pair_sums(pts, mirrored, 1)
+    pairs = math.fsum(sums + [-b for b in bounds])
+    if pairs != math.fsum(sums + bounds):
+        pairs = math.fsum(_pair_sums(pts, mirrored, None)[0])
+    interaction = -2.0 * pairs
     confinement = n * math.fsum(np.asarray(V.eval(pts), dtype=float).tolist())
     return interaction + confinement
 
 
-def _extracted_sums(t: np.ndarray) -> list[float]:
-    """One float per extraction pass (see `energy`), whose exact sum is that
-    of the pair logs t; t is overwritten by the residual."""
+def _pair_sums(pts: np.ndarray, mirrored: bool, passes: int | None) -> tuple[list[float], list[float]]:
+    """Floats and bounds from `passes` extraction passes per block of the
+    pairs of `pts` (None: to a zero residual, with no bounds), half of
+    them if `mirrored` (see `energy`): the exact pair-log sum lies within
+    the exact sum of the bounds of the exact sum of the floats."""
+    n = len(pts)
+    rows = _block_rows(n)
+    end, weight = ((n - 1) // 2, 2.0) if mirrored else (n, 1.0)
+    sums, bounds = [], []
+    for a0 in range(0, end, rows):
+        a1 = min(end, a0 + rows)
+        r = a1 - a0
+        t = pts[a0:n - 1 - a0 if mirrored else n] - pts[a0:a1, None]
+        np.copyto(t[:, :r], 1.0, where=_CORNER[:r, :r])
+        if mirrored:
+            np.copyto(t[:, :-r - 1:-1], 1.0, where=_STRICT[:r, :r])
+        s, b = _extracted_sums(np.log(t, out=t).ravel(), passes)
+        sums += [weight * x for x in s]
+        bounds.append(weight * b)
+    if mirrored:
+        sums += np.log(pts[::-1][:n // 2] - pts[:n // 2]).tolist()
+    return sums, bounds
+
+
+def _extracted_sums(t: np.ndarray, passes: int | None = None) -> tuple[list[float], float]:
+    """At most `passes` extraction passes on the pair logs t (see
+    `energy`), or with None as many as reach a zero residual. Returns one
+    float per pass, the exact sum of its q, then the float sum of any
+    residual left, and the bound b on that float's error (0 if no
+    residual is left); t is overwritten by the residual."""
     q = np.empty_like(t)
     m = (len(t) + 1).bit_length()
     sums = []
     # the passes that `energy` bounds, and one more that finds t all zero
-    for _ in range(2 + 114 // (52 - m)):
+    for _ in range(2 + 114 // (52 - m) if passes is None else passes):
         top = float(np.abs(t, out=q).max())
         if not top:
-            return sums
-        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
+            return sums, 0.0
+        e = m + math.frexp(top)[1]
+        sigma = math.ldexp(1.0, e)
         np.add(t, sigma, out=q)
         q -= sigma
         t -= q
         sums.append(float(q.sum()))
-    raise ArithmeticError("error-free extraction of a pair-log block did not terminate")
+    if passes is None:
+        raise ArithmeticError("error-free extraction of a pair-log block did not terminate")
+    # b = L^2 2^-105 sigma, with sigma of the last pass
+    return sums + [float(t.sum())], math.ldexp(len(t) ** 2, e - 105)
 
 
 def gradient(config: Configuration, V: Potential) -> np.ndarray:
@@ -169,8 +230,18 @@ def breakdown(
     consts: ModelConstants,
 ) -> EnergyBreakdown:
     """Split w_n by the exact identity w_n = n^2 F - n log n + n f_n."""
+    return _split(config, energy(config, V), V, mu, consts)
+
+
+def _split(
+    config: Configuration,
+    w: float,
+    V: Potential,
+    mu: EquilibriumMeasure,
+    consts: ModelConstants,
+) -> EnergyBreakdown:
+    """`breakdown` of a configuration whose w_n is already known to be w."""
     n = config.n
-    w = energy(config, V)
     leading = n * n * consts.mean_field_energy
     log_term = n * math.log(n)
     f_n = (w - leading + log_term) / n

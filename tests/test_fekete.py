@@ -283,7 +283,7 @@ def test_folded_steps_are_the_full_newton_steps(monkeypatch, V, n):
     assert res.mirrored and steps
     for x, g, d in steps:
         assert np.array_equal(x, -x[::-1]) and np.array_equal(d, -d[::-1])
-        full = np.linalg.solve(fekete._hessian_rows(x, V, n)[0], -g)
+        full = np.linalg.solve(fekete.hessian(x, V), -g)
         # the two solves' rounding, and g's rounding asymmetry (|g + g[::-1]|
         # about 2e-13 at n = 256) through H^-1, which the fold drops
         assert np.max(np.abs(d - full)) <= 1e-9 * np.max(np.abs(full)) + 1e-12
@@ -303,9 +303,18 @@ def test_fold_at_the_hermite_zeros_has_the_even_hessian_eigenvalues(n):
 def test_hessian_at_the_hermite_zeros_has_eigenvalues_n_times_1_to_n(n):
     # the whole spectrum, odd multiples (symmetric eigenvectors) included,
     # which the fold above does not see
-    H = fekete._hessian_rows(hermite_oracle(n).points, V2, n)[0]
+    H = fekete.hessian(hermite_oracle(n).points, V2)
     assert np.array_equal(H, H.T)
     assert np.max(np.abs(np.linalg.eigvalsh(H) / n - np.arange(1, n + 1))) <= 1e-10
+
+
+@pytest.mark.parametrize("V, n", [(V2, 1), (V2, 2), (V2, 17), (V2, 512), (polynomial([0, 0, 0.5]), 17)],
+                         ids=["quadratic-1", "quadratic-2", "quadratic-17", "quadratic-512", "polynomial-17"])
+def test_breakdown_holds_the_energy_of_the_returned_points(V, n):
+    # minimize hands its winning start's w_n to the breakdown rather than
+    # computing it again; it is the same float
+    res = minimize(n, V)
+    assert res.breakdown.w_n == energy(res.config, V)
 
 
 @pytest.mark.parametrize("V", [V2, quartic(), CONVEX_NOT_EVEN], ids=["quadratic", "quartic", "convex_not_even"])

@@ -17,6 +17,7 @@ from loggas import (
     quartic,
     semicircle_equilibrium,
 )
+from loggas import hamiltonian
 from loggas.hamiltonian import BLOCK_ELEMENTS, BLOCK_ROWS, _block_rows, _extracted_sums
 
 MU = semicircle_equilibrium()
@@ -117,6 +118,14 @@ def exactness_cases():
     # exactly; every log lies in [248, 256), just under 2^8, so the
     # block's extracted parts sum to within 5 % of sigma = 2^(M + 8)
     cases["tight-2^M"] = 1e108 * np.arange(762.0)
+    # mirrored points, x == -x[::-1]: half the pairs at weight 2. Odd n has
+    # a zero middle point; 2r + 1 and 2r + 2 points fill one block of r
+    # rows, 2r + 3 start a second; at 1025 the element budget sets the rows
+    for n in (2, 3, 2 * r + 1, 2 * r + 2, 2 * r + 3, 1025):
+        x = np.sort(rng.normal(0.0, 1.0, n))
+        cases[f"mirror-n{n}"] = 0.5 * (x - x[::-1])
+    cases["mirror-scale1e150"] = 1e150 * cases[f"mirror-n{2 * r + 3}"]
+    cases["mirror-near-1"] = np.cumsum([0.0, *[1 + 2.0 ** -52, 1 - 2.0 ** -53] * 40]) - 40.0
     return cases
 
 
@@ -142,9 +151,31 @@ def pair_logs(pts):
 
 def extraction_is_exact(t):
     # math.fsum rounds correctly, so it returns 0 exactly when the parts
-    # and -t cancel exactly
-    parts = _extracted_sums(t.copy())
-    return math.fsum(parts + (-t).tolist()) == 0.0, len(parts)
+    # and -t cancel exactly; extracted to a zero residual, no bound is left
+    parts, bound = _extracted_sums(t.copy())
+    return bound == 0.0 and math.fsum(parts + (-t).tolist()) == 0.0, len(parts)
+
+
+def test_mirror_cases_are_mirrored():
+    for name in [k for k in CASES if k.startswith("mirror")]:
+        pts = CASES[name]
+        assert np.array_equal(pts, -pts[::-1]) and np.all(np.diff(pts) > 0), name
+    assert CASES["mirror-n3"][1] == 0.0
+    assert np.all(np.abs(np.diff(CASES["mirror-near-1"]) - 1) <= 2.0 ** -51)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_one_pass_bound_covers_the_residual_sum(name):
+    # the certificate of `energy`: after one pass, the float sum of the
+    # residual is within b of its exact sum (math.fsum), and the pass's q
+    # sum and the residual add up to the block exactly
+    t = pair_logs(CASES[name])
+    for a in range(0, len(t), BLOCK_ELEMENTS):
+        block = t[a:a + BLOCK_ELEMENTS]
+        r = block.copy()
+        (q_sum, r_sum), bound = _extracted_sums(r, 1)
+        assert abs(math.fsum([r_sum, *(-r).tolist()])) <= bound
+        assert math.fsum([q_sum, *r.tolist(), *(-block).tolist()]) == 0.0
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -231,6 +262,87 @@ NEAR_1_GAPS = st.tuples(
 def test_energy_is_exact_on_near_1_gaps(pts):
     assert energy(Configuration(pts), V_FLAT) == fsum_energy(pts, V_FLAT)
     assert extraction_is_exact(pair_logs(pts))[0]
+
+
+def mirror(half, middle):
+    return np.concatenate([-half[::-1], [0.0] if middle else [], half])
+
+
+# mirrored configurations, x == -x[::-1]: even and odd n (a zero middle
+# point), sizes whose (n - 1) // 2 summed rows cross the 64-row block
+# boundary, points up to 1e150, and near-1 gaps throughout (the middle gap
+# of even n too)
+MIRRORED = st.one_of(
+    st.tuples(st.lists(st.floats(0.0, 1e150, exclude_min=True), min_size=1, max_size=3 * BLOCK_ROWS // 2,
+                       unique=True).map(sorted).map(np.array), st.booleans()),
+    st.tuples(st.lists(st.floats(1 - 2.0 ** -50, 1 + 2.0 ** -49), min_size=1, max_size=3 * BLOCK_ROWS // 2),
+              st.booleans()).map(lambda c: (np.cumsum([c[0][0] * (1.0 if c[1] else 0.5), *c[0][1:]]), c[1])),
+).map(lambda c: mirror(*c))
+
+
+@settings(deadline=None, max_examples=80)
+@given(MIRRORED)
+def test_energy_is_exact_on_mirrored_points(pts):
+    assume(np.all(np.diff(pts) > 0))
+    assert np.array_equal(pts, -pts[::-1])
+    assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
+    assert energy(Configuration(pts), V_FLAT) == fsum_energy(pts, V_FLAT)
+
+
+def spy_pair_sums(monkeypatch):
+    """Record the (mirrored, passes) of every `_pair_sums` call."""
+    calls = []
+    real = hamiltonian._pair_sums
+
+    def spy(pts, mirrored, passes):
+        calls.append((mirrored, passes))
+        return real(pts, mirrored, passes)
+
+    monkeypatch.setattr(hamiltonian, "_pair_sums", spy)
+    return calls
+
+
+def test_mirrored_points_sum_half_the_pairs(monkeypatch):
+    # the mirror route runs exactly where x == -x[::-1]
+    calls = spy_pair_sums(monkeypatch)
+    x = np.sort(np.random.default_rng(5).normal(0.0, 1.0, 9))
+    for pts, mirrored in ((x, False), (0.5 * (x - x[::-1]), True), (mirror(np.array([1.0]), True), True)):
+        energy(Configuration(pts), V2)
+        assert calls.pop()[0] == mirrored
+
+
+def is_tie(pts):
+    """Whether the exact pair-log sum is the midpoint of two doubles."""
+    logs = pair_logs(pts).tolist()
+    s = math.fsum(logs)
+    return abs(math.fsum([*logs, -s])) == math.ulp(s) / 2
+
+
+def test_exact_ties_fall_back_to_full_extraction(monkeypatch):
+    # an a-priori bound cannot certify a sum that sits on a rounding
+    # midpoint: at n = 3 about one normal draw in six does, and each must
+    # take the zero-residual route and still round correctly
+    calls = spy_pair_sums(monkeypatch)
+    rng = np.random.default_rng(2800)
+    ties = 0
+    for _ in range(200):
+        pts = np.sort(rng.normal(0.0, 1.0, 3))
+        del calls[:]
+        assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
+        if is_tie(pts):
+            ties += 1
+            assert [p for _, p in calls] == [1, None]
+    assert ties >= 20
+
+
+def test_random_points_are_certified_in_one_pass(monkeypatch):
+    calls = spy_pair_sums(monkeypatch)
+    for n in (1024, 1025):
+        x = np.sort(np.random.default_rng(n).normal(0.0, 1.0, n))
+        for pts in (x, 0.5 * (x - x[::-1])):
+            assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
+            assert [p for _, p in calls] == [1]
+            del calls[:]
 
 
 def test_gradient_zero_at_two_point_minimizer():
