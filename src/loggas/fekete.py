@@ -10,7 +10,8 @@ orthonormal Hermite recurrence (Golub and Welsch, Math. Comp. 23 (1969)
 tridiagonal eigensolver; `hermite_energy` gives their w_n exactly. It
 shares no code path with the optimizer it checks, which solves with LU
 factorisations of the w_n Hessian (`hessian`), certified positive
-definite by Gershgorin or else by a Cholesky test. For an even convex V,
+definite at every n: by Gershgorin, else by a Cholesky test, else by
+Gershgorin at the Levenberg floor. For an even convex V,
 such as x^2/2 and the quartic, the one minimizer is mirror-symmetric, and
 each Newton step is solved on the mirror half: an n // 2 square fold of
 the Hessian.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .hamiltonian import Configuration, EnergyBreakdown, _split, energy, gradient
 from .model import EquilibriumMeasure, Potential, equilibrium_for, quadratic, semicircle_equilibrium
 
@@ -103,7 +103,8 @@ def jittered(base: np.ndarray, scale: float, rng: np.random.Generator) -> np.nda
             return x0
 
 
-#: relative margin of the Levenberg floor, and of the Gershgorin certificate
+#: relative margin of the Levenberg floor and the Gershgorin certificate
+#: (n 2^-52 where larger, past n = 4503; see `_newton_step`)
 MARGIN = 1e-12
 
 
@@ -152,13 +153,12 @@ def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, mirrored: bool) -
 
     Unmirrored, A = H. Row i of A + s I has diagonal minus off-diagonal
     sum n V''(x_i) + s, so by Gershgorin A + s I is positive definite once
-    min n V'' + s >= m = MARGIN max |diag A|, while n 2^-52 <= MARGIN keeps
-    the rounding of the row sums inside m. So s = 0 with no factorisation
-    where min n V'' >= m (every step of a V with V'' > 0); else s = 0 if A passes a
-    Cholesky test; else the floor s = max(0, -n min V'') + m, which meets
-    the certificate by construction. Past n = MARGIN 2^52 the certificate
-    lapses: the floor then takes a Cholesky test too, and ConvergenceError
-    if A + s I fails it. One LU solve gives d.
+    min n V'' + s >= m = max(MARGIN, n 2^-52) max |diag A|, where n 2^-52
+    covers the rounding of the row sums at every n (MARGIN sets m up to
+    n = 4503). So s = 0 with no factorisation where min n V'' >= m (every
+    step of a V with V'' > 0); else s = 0 if A passes a Cholesky test;
+    else the floor s = max(0, -n min V'') + m, which meets the
+    certificate by construction. One LU solve gives d.
 
     Mirrored (V even and convex, pts == -pts[::-1] exactly), A is the fold
     F = (1/2) P^T H P of `_fold`, built from rows i < n // 2 alone:
@@ -189,17 +189,12 @@ def _newton_step(pts: np.ndarray, g: np.ndarray, V: Potential, mirrored: bool) -
         g = 0.5 * (g[:rows] - g[::-1][:rows])
     diag = A.diagonal().copy()
     low = float(np.min(nvpp))
-    margin = MARGIN * float(np.max(np.abs(diag)))
-    certifiable = n * 2.0 ** -52 <= MARGIN
+    margin = max(MARGIN, n * 2.0 ** -52) * float(np.max(np.abs(diag)))
     tests = 0
-    if not (certifiable and low >= margin):
+    if low < margin:
         tests = 1
         if not _factors(A):
             np.fill_diagonal(A, diag + (max(0.0, -low) + margin))
-            if not certifiable:
-                tests = 2
-                if not _factors(A):
-                    raise ConvergenceError("the Levenberg shift did not make the w_n Hessian positive definite")
     d = np.linalg.solve(A, -g)
     if mirrored:
         d = np.concatenate([d, np.zeros(n % 2), -d[::-1]])

@@ -11,7 +11,9 @@ the checks of `Configuration` and apply one formula at every n >= 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -116,16 +118,8 @@ def energy(config: Configuration, V: Potential) -> float:
     when S, or P, lies within B of a rounding boundary, above all when S
     is exactly the midpoint of two doubles: an a-priori B cannot certify
     a tie, and at n = 3 about one normal draw in six sums to one. Then
-    every block is extracted again to a zero residual, the rounding of
-    the exact sum is the answer, and no bound is involved.
-
-    Termination of that fallback. A gap is a double from 2^-1074 to
-    below 2^1024, and the doubles next to 1 are 1 - 2^-53 and
-    1 + 2^-52, so a pair log is 0 or has 2^-53 <= |t| < 745: a multiple
-    of 2^-105 with e <= 10. A pass lowers e by at least 52 - M, and a
-    nonzero residual keeps e >= -104, so a block takes at most
-    1 + 114 // (52 - M) passes (4 at L = 2^15), usually 2;
-    `ArithmeticError` if it ever takes more.
+    the answer is the definition, `math.fsum` over every pair log,
+    streamed one block at a time (`_pair_blocks`).
 
     Mirror. When x == -x[::-1] exactly (an O(n) test), pair (i, j) and
     its mirror (n-1-j, n-1-i) have the same exact difference
@@ -143,24 +137,29 @@ def energy(config: Configuration, V: Potential) -> float:
     pts = config.points
     n = len(pts)
     mirrored = np.array_equal(pts, -pts[::-1])
-    sums, bounds = _pair_sums(pts, mirrored, 1)
+    weight = 2.0 if mirrored else 1.0
+    sums, bounds = [], []
+    for t in _pair_blocks(pts, mirrored):
+        q, r, b = _extracted_sums(t)
+        sums += [weight * q, weight * r]
+        bounds.append(weight * b)
+    if mirrored:
+        sums += np.log(pts[::-1][:n // 2] - pts[:n // 2]).tolist()
     pairs = math.fsum(sums + [-b for b in bounds])
     if pairs != math.fsum(sums + bounds):
-        pairs = math.fsum(_pair_sums(pts, mirrored, None)[0])
+        pairs = math.fsum(chain.from_iterable(t.tolist() for t in _pair_blocks(pts, False)))
     interaction = -2.0 * pairs
     confinement = n * math.fsum(np.asarray(V.eval(pts), dtype=float).tolist())
     return interaction + confinement
 
 
-def _pair_sums(pts: np.ndarray, mirrored: bool, passes: int | None) -> tuple[list[float], list[float]]:
-    """Floats and bounds from `passes` extraction passes per block of the
-    pairs of `pts` (None: to a zero residual, with no bounds), half of
-    them if `mirrored` (see `energy`): the exact pair-log sum lies within
-    the exact sum of the bounds of the exact sum of the floats."""
+def _pair_blocks(pts: np.ndarray, mirrored: bool) -> Iterator[np.ndarray]:
+    """The pair logs of `pts` one block of rows at a time, flat, with
+    log 1 = 0 in the discarded corners: the pairs i < j, or if `mirrored`
+    those with i + j < n - 1 (see `energy`)."""
     n = len(pts)
     rows = _block_rows(n)
-    end, weight = ((n - 1) // 2, 2.0) if mirrored else (n, 1.0)
-    sums, bounds = [], []
+    end = (n - 1) // 2 if mirrored else n
     for a0 in range(0, end, rows):
         a1 = min(end, a0 + rows)
         r = a1 - a0
@@ -168,38 +167,21 @@ def _pair_sums(pts: np.ndarray, mirrored: bool, passes: int | None) -> tuple[lis
         np.copyto(t[:, :r], 1.0, where=_CORNER[:r, :r])
         if mirrored:
             np.copyto(t[:, :-r - 1:-1], 1.0, where=_STRICT[:r, :r])
-        s, b = _extracted_sums(np.log(t, out=t).ravel(), passes)
-        sums += [weight * x for x in s]
-        bounds.append(weight * b)
-    if mirrored:
-        sums += np.log(pts[::-1][:n // 2] - pts[:n // 2]).tolist()
-    return sums, bounds
+        yield np.log(t, out=t).ravel()
 
 
-def _extracted_sums(t: np.ndarray, passes: int | None = None) -> tuple[list[float], float]:
-    """At most `passes` extraction passes on the pair logs t (see
-    `energy`), or with None as many as reach a zero residual. Returns one
-    float per pass, the exact sum of its q, then the float sum of any
-    residual left, and the bound b on that float's error (0 if no
-    residual is left); t is overwritten by the residual."""
-    q = np.empty_like(t)
-    m = (len(t) + 1).bit_length()
-    sums = []
-    # the passes that `energy` bounds, and one more that finds t all zero
-    for _ in range(2 + 114 // (52 - m) if passes is None else passes):
-        top = float(np.abs(t, out=q).max())
-        if not top:
-            return sums, 0.0
-        e = m + math.frexp(top)[1]
-        sigma = math.ldexp(1.0, e)
-        np.add(t, sigma, out=q)
-        q -= sigma
-        t -= q
-        sums.append(float(q.sum()))
-    if passes is None:
-        raise ArithmeticError("error-free extraction of a pair-log block did not terminate")
-    # b = L^2 2^-105 sigma, with sigma of the last pass
-    return sums + [float(t.sum())], math.ldexp(len(t) ** 2, e - 105)
+def _extracted_sums(t: np.ndarray) -> tuple[float, float, float]:
+    """One extraction pass on the pair logs t (see `energy`): the exact
+    sum of its q, the float sum of its residual r, and the bound b on
+    that float's error; t is overwritten by r."""
+    q = np.abs(t)
+    e = (len(t) + 1).bit_length() + math.frexp(float(q.max()))[1]
+    sigma = math.ldexp(1.0, e)
+    np.add(t, sigma, out=q)
+    q -= sigma
+    t -= q
+    # b = L^2 2^-105 sigma
+    return float(q.sum()), float(t.sum()), math.ldexp(len(t) ** 2, e - 105)
 
 
 def gradient(config: Configuration, V: Potential) -> np.ndarray:
@@ -241,10 +223,7 @@ def _split(
     consts: ModelConstants,
 ) -> EnergyBreakdown:
     """`breakdown` of a configuration whose w_n is already known to be w."""
-    n = config.n
-    leading = n * n * consts.mean_field_energy
-    log_term = n * math.log(n)
-    f_n = (w - leading + log_term) / n
+    leading, log_term, f_n = _next_order(w, config.n, consts.mean_field_energy)
     zs = float(np.sum(zeta(mu, V, consts.c, config.points)))
     return EnergyBreakdown(
         w_n=w,
@@ -254,6 +233,14 @@ def _split(
         f_hat=f_n - 2.0 * zs,
         zeta_sum=zs,
     )
+
+
+def _next_order(w: float | np.ndarray, n: int, F: float) -> tuple[float, float, float | np.ndarray]:
+    """The split w = leading - log_term + n f_n of w_n (a float or an
+    array of them) at n points: (n^2 F, n log n, f_n)."""
+    leading = n * n * F
+    log_term = n * math.log(n)
+    return leading, log_term, (w - leading + log_term) / n
 
 
 def check_beta(beta: float) -> None:

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fekete import jittered, minimize, quantile_start
-from .hamiltonian import Configuration, check_beta, energy, window_bounds
+from .hamiltonian import Configuration, _next_order, check_beta, energy, window_bounds
 from .model import Potential, equilibrium_for, horner, zeta
 
 __all__ = ["SamplerConfig", "GasStatistics", "run", "run_many", "metropolis_accept"]
@@ -467,7 +467,7 @@ def _statistics(cfg: SamplerConfig, chain_samples: np.ndarray, chain_energies: n
         lo_i, hi_i = n // 4, max(n // 4 + 1, (3 * n) // 4)
         gaps = np.diff(flat, axis=1)[:, lo_i:hi_i]
         spacing_samples = (n * mu.density(flat[:, lo_i:hi_i]) * gaps).ravel()
-        f_n_trace = (energies - n * n * consts.mean_field_energy + n * math.log(n)) / n
+        f_n_trace = _next_order(energies, n, consts.mean_field_energy)[2]
         zeta_trace = zeta(mu, cfg.V, consts.c, flat).sum(axis=1)
     else:
         spacing_samples = f_n_trace = zeta_trace = np.array([])

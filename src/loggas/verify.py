@@ -20,7 +20,7 @@ from . import model as model_mod
 from . import partition as partition_mod
 from . import renorm as renorm_mod
 from . import sampler as sampler_mod
-from .hamiltonian import Configuration, energy, gradient
+from .hamiltonian import Configuration, _next_order, energy, gradient
 
 #: min W = -pi log 2 pi, the energy of the integer lattice
 LATTICE_W = renorm_mod.lattice_min(1.0)
@@ -146,14 +146,15 @@ def ground_state_ladder(ns):
     result, the Hermite-root oracle, sup |gradient| at the oracle, the exact
     f_n (breakdown's f_n of `hermite_energy`) and the solve's seconds."""
     V = model_mod.quadratic()
+    F = model_mod.equilibrium_for(V)[1].mean_field_energy
     rows = []
     for n in ns:
         t0 = time.perf_counter()
         res = fekete_mod.minimize(n, V, multistart=1)
         seconds = time.perf_counter() - t0
-        oracle, bd = fekete_mod.hermite_oracle(n), res.breakdown
+        oracle = fekete_mod.hermite_oracle(n)
         rows.append((res, oracle, float(np.abs(gradient(oracle, V)).max()),
-                     (fekete_mod.hermite_energy(n) - bd.leading + bd.log_term) / n, seconds))
+                     _next_order(fekete_mod.hermite_energy(n), n, F)[2], seconds))
     return rows
 
 

@@ -340,13 +340,33 @@ def test_hermite_energy_is_the_minimum(n):
     assert abs(minimize(n, V2).breakdown.w_n - exact) <= HERMITE_ENERGY_ULPS * 2.0 ** -52 * abs(exact)
 
 
-def test_uncertified_shift_that_does_not_factor_raises(monkeypatch):
-    # past n = MARGIN 2^52 the certificate lapses, and the shifted step
-    # needs a Cholesky test of its own
-    def fails(a):
-        raise np.linalg.LinAlgError("not positive definite")
-
+def test_levenberg_floor_is_certified_where_n_2_52_sets_the_margin(monkeypatch):
+    # MARGIN below n 2^-52, as it is at every n past 4503: the margin is then
+    # n 2^-52 max |diag A|, and the Levenberg floor still meets Gershgorin
+    # with no Cholesky test of its own, so a step makes at most one
     monkeypatch.setattr(fekete, "MARGIN", 1e-20)
-    monkeypatch.setattr(np.linalg, "cholesky", fails)
-    with pytest.raises(ConvergenceError):
-        minimize(4, V2, multistart=1)
+    tests, factored, solved = [], [], []
+    real_step, real_factors, real_solve = fekete._newton_step, fekete._factors, np.linalg.solve
+
+    def counting_step(pts, g, V, mirrored):
+        d, t = real_step(pts, g, V, mirrored)
+        tests.append(t)
+        return d, t
+
+    def recording_factors(A):
+        factored.append(real_factors(A))
+        return factored[-1]
+
+    def recording_solve(A, b):
+        solved.append(A.copy())
+        return real_solve(A, b)
+
+    monkeypatch.setattr(fekete, "_newton_step", counting_step)
+    monkeypatch.setattr(fekete, "_factors", recording_factors)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    res = minimize(16, double_well())
+    assert res.converged and max(tests) == 1 and res.cholesky_tests == sum(tests) == len(factored)
+    # some steps take the floor, and every matrix solved is positive definite
+    assert not all(factored) and len(solved) == len(tests)
+    for A in solved:
+        np.linalg.cholesky(A)

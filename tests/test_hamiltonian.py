@@ -18,7 +18,7 @@ from loggas import (
     semicircle_equilibrium,
 )
 from loggas import hamiltonian
-from loggas.hamiltonian import BLOCK_ELEMENTS, BLOCK_ROWS, _block_rows, _extracted_sums
+from loggas.hamiltonian import BLOCK_ELEMENTS, BLOCK_ROWS, _block_rows, _extracted_sums, _pair_blocks
 
 MU = semicircle_equilibrium()
 V2 = quadratic()
@@ -109,7 +109,7 @@ def exactness_cases():
     # np.sum rounds these pair logs differently from math.fsum
     cases["pairwise-witness"] = np.sort(np.random.default_rng(7).normal(0.0, 1.0, 200))
     # one block with a log near 345 and logs near 1e-16, whose last bits
-    # lie about 2^-105: three or more extraction passes
+    # lie about 2^-105: most of the block is left in the one pass's residual
     cases["large-and-near-1"] = np.concatenate(
         [[-1e150], np.cumsum([0.0, 1 + 2.0 ** -52, 1 - 2.0 ** -53, 1 + 2.0 ** -51, 1 + 3 * 2.0 ** -52])])
     # a first block of exactly BLOCK_ELEMENTS terms (64 rows of 512)
@@ -149,11 +149,15 @@ def pair_logs(pts):
     return np.log(pts[j] - pts[i])
 
 
-def extraction_is_exact(t):
-    # math.fsum rounds correctly, so it returns 0 exactly when the parts
-    # and -t cancel exactly; extracted to a zero residual, no bound is left
-    parts, bound = _extracted_sums(t.copy())
-    return bound == 0.0 and math.fsum(parts + (-t).tolist()) == 0.0, len(parts)
+def one_pass_is_exact(t):
+    # the identities of the certificate in `energy`: after one pass, the q
+    # sum and the residual r add up to the block exactly (math.fsum rounds
+    # correctly, so it returns 0 exactly when they and -t cancel), and the
+    # float sum of r is within b of its exact sum
+    r = t.copy()
+    q_sum, r_sum, bound = _extracted_sums(r)
+    return (math.fsum([q_sum, *r.tolist(), *(-t).tolist()]) == 0.0
+            and abs(math.fsum([r_sum, *(-r).tolist()])) <= bound)
 
 
 def test_mirror_cases_are_mirrored():
@@ -166,23 +170,20 @@ def test_mirror_cases_are_mirrored():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_one_pass_bound_covers_the_residual_sum(name):
-    # the certificate of `energy`: after one pass, the float sum of the
-    # residual is within b of its exact sum (math.fsum), and the pass's q
-    # sum and the residual add up to the block exactly
-    t = pair_logs(CASES[name])
-    for a in range(0, len(t), BLOCK_ELEMENTS):
-        block = t[a:a + BLOCK_ELEMENTS]
-        r = block.copy()
-        (q_sum, r_sum), bound = _extracted_sums(r, 1)
-        assert abs(math.fsum([r_sum, *(-r).tolist()])) <= bound
-        assert math.fsum([q_sum, *r.tolist(), *(-block).tolist()]) == 0.0
+    # on the blocks `energy` certifies: every row block of the pair
+    # matrix, and of its mirror half where the points are mirrored
+    pts = CASES[name]
+    for mirrored in {False, bool(np.array_equal(pts, -pts[::-1]))}:
+        for t in _pair_blocks(pts, mirrored):
+            assert one_pass_is_exact(t)
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_extraction_is_exact_on_every_block(name):
+    # on the flat list of pair logs, cut into blocks of BLOCK_ELEMENTS
     t = pair_logs(CASES[name])
     for a in range(0, len(t), BLOCK_ELEMENTS):
-        assert extraction_is_exact(t[a:a + BLOCK_ELEMENTS])[0]
+        assert one_pass_is_exact(t[a:a + BLOCK_ELEMENTS])
 
 
 @pytest.mark.parametrize("length", [2 ** 15 - 2, 2 ** 15 - 1, BLOCK_ELEMENTS])
@@ -193,12 +194,7 @@ def test_extraction_is_exact_where_the_parts_near_sigma(length, sign):
     # sigma, a sum of parts rounds in about half of these draws
     for seed in range(4):
         t = sign * np.random.default_rng(seed).uniform(255.0, 256.0, length)
-        assert extraction_is_exact(t)[0]
-
-
-def test_near_1_logs_beside_a_large_one_take_three_passes():
-    exact, passes = extraction_is_exact(pair_logs(CASES["large-and-near-1"]))
-    assert exact and passes >= 3
+        assert one_pass_is_exact(t)
 
 
 def test_block_boundary_cases_are_what_they_claim():
@@ -207,13 +203,6 @@ def test_block_boundary_cases_are_what_they_claim():
     assert 2 ** (L + 1).bit_length() == L + 2
     pts = CASES["tight-2^M"]
     assert 128 <= math.log(pts[1] - pts[0]) and math.log(pts[-1] - pts[0]) < 256
-
-
-def test_extraction_beyond_the_pair_log_range_fails_loudly():
-    # full mantissas every 50 binades from pi down to 2^-448: bits far
-    # below 2^-105, the last bit of any pair log
-    with pytest.raises(ArithmeticError):
-        _extracted_sums(math.pi * 2.0 ** -(50.0 * np.arange(10)))
 
 
 def test_pairwise_witness_separates_the_sums():
@@ -261,7 +250,7 @@ NEAR_1_GAPS = st.tuples(
 @given(NEAR_1_GAPS)
 def test_energy_is_exact_on_near_1_gaps(pts):
     assert energy(Configuration(pts), V_FLAT) == fsum_energy(pts, V_FLAT)
-    assert extraction_is_exact(pair_logs(pts))[0]
+    assert one_pass_is_exact(pair_logs(pts))
 
 
 def mirror(half, middle):
@@ -289,26 +278,28 @@ def test_energy_is_exact_on_mirrored_points(pts):
     assert energy(Configuration(pts), V_FLAT) == fsum_energy(pts, V_FLAT)
 
 
-def spy_pair_sums(monkeypatch):
-    """Record the (mirrored, passes) of every `_pair_sums` call."""
+def spy_pair_blocks(monkeypatch):
+    """Record the `mirrored` flag of every `_pair_blocks` walk: `energy`
+    walks once to certify, and once more, unmirrored, for the definition."""
     calls = []
-    real = hamiltonian._pair_sums
+    real = hamiltonian._pair_blocks
 
-    def spy(pts, mirrored, passes):
-        calls.append((mirrored, passes))
-        return real(pts, mirrored, passes)
+    def spy(pts, mirrored):
+        calls.append(mirrored)
+        return real(pts, mirrored)
 
-    monkeypatch.setattr(hamiltonian, "_pair_sums", spy)
+    monkeypatch.setattr(hamiltonian, "_pair_blocks", spy)
     return calls
 
 
 def test_mirrored_points_sum_half_the_pairs(monkeypatch):
     # the mirror route runs exactly where x == -x[::-1]
-    calls = spy_pair_sums(monkeypatch)
+    calls = spy_pair_blocks(monkeypatch)
     x = np.sort(np.random.default_rng(5).normal(0.0, 1.0, 9))
     for pts, mirrored in ((x, False), (0.5 * (x - x[::-1]), True), (mirror(np.array([1.0]), True), True)):
         energy(Configuration(pts), V2)
-        assert calls.pop()[0] == mirrored
+        assert calls[0] == mirrored
+        del calls[:]
 
 
 def is_tie(pts):
@@ -321,8 +312,9 @@ def is_tie(pts):
 def test_exact_ties_fall_back_to_full_extraction(monkeypatch):
     # an a-priori bound cannot certify a sum that sits on a rounding
     # midpoint: at n = 3 about one normal draw in six does, and each must
-    # take the zero-residual route and still round correctly
-    calls = spy_pair_sums(monkeypatch)
+    # take the definition, math.fsum over every pair log, and so still
+    # round correctly
+    calls = spy_pair_blocks(monkeypatch)
     rng = np.random.default_rng(2800)
     ties = 0
     for _ in range(200):
@@ -331,17 +323,17 @@ def test_exact_ties_fall_back_to_full_extraction(monkeypatch):
         assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
         if is_tie(pts):
             ties += 1
-            assert [p for _, p in calls] == [1, None]
+            assert calls == [False, False]
     assert ties >= 20
 
 
 def test_random_points_are_certified_in_one_pass(monkeypatch):
-    calls = spy_pair_sums(monkeypatch)
+    calls = spy_pair_blocks(monkeypatch)
     for n in (1024, 1025):
         x = np.sort(np.random.default_rng(n).normal(0.0, 1.0, n))
-        for pts in (x, 0.5 * (x - x[::-1])):
+        for pts, mirrored in ((x, False), (0.5 * (x - x[::-1]), True)):
             assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
-            assert [p for _, p in calls] == [1]
+            assert calls == [mirrored]
             del calls[:]
 
 

@@ -20,7 +20,7 @@ from loggas import (
     semicircle_equilibrium,
     thermo_log_z,
 )
-from loggas import fekete
+from loggas import fekete, partition
 from loggas.hamiltonian import Configuration, energy
 from loggas.partition import _chain_block_means
 
@@ -111,6 +111,26 @@ def test_quadrature_counts_both_double_well_minima():
     z, _ = integrate.quad(lambda t: math.exp(-0.5 * beta * V.eval(t)), -4.0, 4.0,
                           points=[-math.sqrt(2.0), math.sqrt(2.0)], epsabs=0.0, epsrel=1e-13)
     assert quadrature_log_z(1, beta, V) == pytest.approx(math.log(z), rel=1e-10)
+
+
+def test_quadrature_grows_one_box_over_overlapping_double_well_minima(monkeypatch):
+    # at n = 3 and beta = 2 the box around the double well's Fekete set
+    # overlaps its mirror image, so a second box is grown over both sets
+    # and no log 2 is added; the independent check is thermodynamic
+    # integration from x^2/2
+    boxes = []
+    real = partition._grow_box
+
+    def spy(*args):
+        boxes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partition, "_grow_box", spy)
+    V = double_well()
+    quad = quadrature_log_z(3, 2.0, V)
+    assert len(boxes) == 2
+    est, err = thermo_log_z(3, 2.0, V)
+    assert abs(quad - est) <= 3.0 * err
 
 
 def test_next_order_report_fields():
