@@ -28,7 +28,7 @@ from .model import (
     solve_equilibrium,
     zeta,
 )
-from .renorm import PeriodicConfig, lattice, lattice_min, periodic_w, rescale_w
+from .renorm import PeriodicConfig, lattice, lattice_min, periodic_w
 from .hamiltonian import (
     Configuration,
     EnergyBreakdown,
@@ -39,7 +39,7 @@ from .hamiltonian import (
 )
 from .fekete import FeketeResult, hermite_oracle, hessian, minimize
 from .field import CylinderField, make_field, w_quadrature
-from .sampler import GasStatistics, SamplerConfig, metropolis_accept, run, run_many
+from .sampler import GasStatistics, SamplerConfig, run, run_many
 from .partition import (
     PartitionReport,
     mehta_log_z,
@@ -79,7 +79,6 @@ __all__ = [
     "make_field",
     "mean_field_energy",
     "mehta_log_z",
-    "metropolis_accept",
     "minimize",
     "model_constants",
     "next_order_report",
@@ -88,7 +87,6 @@ __all__ = [
     "quadratic",
     "quadrature_log_z",
     "quartic",
-    "rescale_w",
     "run",
     "run_many",
     "semicircle_equilibrium",

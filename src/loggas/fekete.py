@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import Configuration, EnergyBreakdown, _split, energy, gradient
-from .model import EquilibriumMeasure, Potential, equilibrium_for, quadratic, semicircle_equilibrium
+from .model import Potential, equilibrium_for, quadratic, semicircle_equilibrium
 
 __all__ = ["FeketeResult", "minimize", "hessian", "hermite_oracle", "hermite_energy"]
 
@@ -86,10 +86,10 @@ def hermite_energy(n: int) -> float:
 # optimizer
 
 
-def quantile_start(n: int, mu: EquilibriumMeasure | None) -> np.ndarray:
-    """The start rule of the solver and the sampler: the midpoint quantiles
-    of `mu`, V's closed-form equilibrium measure, or else the semicircle's."""
-    return (semicircle_equilibrium() if mu is None else mu).quantiles(n)
+def quantile_start(n: int) -> np.ndarray:
+    """The start rule of the solver and the sampler, for every V: the n
+    midpoint quantiles of the semicircle."""
+    return semicircle_equilibrium().quantiles(n)
 
 
 def jittered(base: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -289,7 +289,7 @@ def minimize(
         raise ValueError(f"tol must be positive, got {tol}")
     mu, consts = equilibrium_for(V) or (None, None)
     # V's global minimizer (`Potential.argmin`) for n = 1
-    base = np.array([V.argmin]) if n == 1 else quantile_start(n, mu)
+    base = np.array([V.argmin]) if n == 1 else quantile_start(n)
     if n == 1 or V.convex:
         multistart = 1
     mirrored = n > 1 and V.even and V.convex

@@ -173,15 +173,17 @@ def _pair_blocks(pts: np.ndarray, mirrored: bool) -> Iterator[np.ndarray]:
 def _extracted_sums(t: np.ndarray) -> tuple[float, float, float]:
     """One extraction pass on the pair logs t (see `energy`): the exact
     sum of its q, the float sum of its residual r, and the bound b on
-    that float's error; t is overwritten by r."""
+    that float's error; t is overwritten by r. When max |t| = 0, every q
+    and r is exactly 0, and so is b."""
     q = np.abs(t)
-    e = (len(t) + 1).bit_length() + math.frexp(float(q.max()))[1]
+    top = float(q.max())
+    e = (len(t) + 1).bit_length() + math.frexp(top)[1]
     sigma = math.ldexp(1.0, e)
     np.add(t, sigma, out=q)
     q -= sigma
     t -= q
     # b = L^2 2^-105 sigma
-    return float(q.sum()), float(t.sum()), math.ldexp(len(t) ** 2, e - 105)
+    return float(q.sum()), float(t.sum()), math.ldexp(len(t) ** 2, e - 105) if top else 0.0
 
 
 def gradient(config: Configuration, V: Potential) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateConfigError
 
-__all__ = ["PeriodicConfig", "periodic_w", "lattice_min", "rescale_w", "lattice"]
+__all__ = ["PeriodicConfig", "periodic_w", "lattice_min", "lattice"]
 
 #: minimal separation (relative to the period) below which two points
 #: are treated as coincident; the energy genuinely diverges there
@@ -45,9 +45,6 @@ class PeriodicConfig:
             raise ValueError("points must be finite and lie in [0, N)")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("points must be strictly increasing")
-
-    def translated(self, t: float) -> "PeriodicConfig":
-        return PeriodicConfig(self.period, np.sort((self.points + t) % self.period))
 
 
 def lattice(N: int) -> PeriodicConfig:
@@ -82,10 +79,3 @@ def lattice_min(m: float) -> float:
     if m <= 0:
         raise ValueError("density must be positive")
     return -math.pi * m * math.log(2.0 * math.pi * m)
-
-
-def rescale_w(w_unit: float, m: float) -> float:
-    """Energy of a density-1 configuration dilated to density m."""
-    if m <= 0:
-        raise ValueError("density must be positive")
-    return m * (w_unit - math.pi * math.log(m))

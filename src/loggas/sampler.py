@@ -6,11 +6,11 @@ and one vectorised pass, accept rule and move serve every row at once.
 Configs run together (`run_many`) share n and the step counts; each row
 keeps its config's beta, V and seed. V of every row is one Horner pass
 (`model.horner`) over the columns of the run's coefficient matrix, one
-row of coefficients per chain, collapsed to one row when all chains
-share V. Each chain draws its proposals from its own RNG stream spawned
-from its config's seed (numpy SeedSequence.spawn), in chunks whose sizes
-do not depend on the row count, so runs are bit-reproducible and a
-chain's output is the same whatever chains or configs run beside it.
+row of coefficients per chain. Each chain draws its proposals from its
+own RNG stream spawned from its config's seed (numpy SeedSequence.spawn),
+in chunks whose sizes do not depend on the row count, so runs are
+bit-reproducible and a chain's output is the same whatever chains or
+configs run beside it.
 
 The steps run in blocks of at most K = max(1, min(BLOCK_SITES, n // 2))
 steps. Every adaptation, audit, thinning and chunk boundary ends a
@@ -31,7 +31,7 @@ keeps the table's 4 K^2 logs per row within the pass's 2 K n. Points are
 written back and rows sorted once per block.
 
 Each chunk builds its flat site indices, its scaled steps and its
-accept thresholds (`metropolis_accept` as a bound on the energy change),
+accept thresholds (`_accept_threshold`, a bound on the energy change),
 and a run owns one workspace, so a block allocates no array of n
 entries. The accept counts of the adaptation windows and of the
 post-burn-in steps are sums over the chunk's (steps, rows) buffer of
@@ -56,7 +56,7 @@ from .fekete import jittered, minimize, quantile_start
 from .hamiltonian import Configuration, _next_order, check_beta, energy, window_bounds
 from .model import Potential, equilibrium_for, horner, zeta
 
-__all__ = ["SamplerConfig", "GasStatistics", "run", "run_many", "metropolis_accept"]
+__all__ = ["SamplerConfig", "GasStatistics", "run", "run_many"]
 
 AUDIT_INTERVAL = 10_000
 AUDIT_RTOL = 1e-8
@@ -152,19 +152,6 @@ def _accept_threshold(beta, u):
         return (-2.0 / beta) * np.maximum(np.log(u), LOG_EXP_UNDERFLOW)
 
 
-def metropolis_accept(delta, beta: float, u):
-    """Accept a move of energy change `delta` given uniform draw `u` in [0, 1).
-
-    Accepts when delta < -(2/beta) log u (`_accept_threshold`), which is
-    u < min(1, exp(-(beta/2) delta)) written as a threshold on delta;
-    elementwise on arrays, and scalar arguments give a bool. A non-finite
-    delta from the kernel is always rejected: +inf and NaN fail `<`, and
-    -inf cannot arise there, since every cached energy is finite.
-    """
-    ok = np.less(delta, _accept_threshold(beta, u))
-    return ok if ok.ndim else bool(ok)
-
-
 def _block_schedule(done: int, m: int, burn_in: int, thinning: int,
                     size: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The blocks of the chunk of `m` steps that follows step `done`: their
@@ -228,7 +215,7 @@ class _Blocks:
         for L in range(1, size + 1):
             zL = z[:2 * L * rows]
             z2 = zL.reshape(2 * L, rows)
-            tiled = [c if c is None or np.isscalar(c) else np.tile(c, 2 * L) for c in columns]
+            tiled = [c if c is None else np.tile(c, 2 * L) for c in columns]
             self.views.append((zL, z2, z2[..., None], z2[:L], z2[L:], self.D[:2 * L * rows * n].reshape(2 * L, rows, n),
                                tiled))
 
@@ -315,14 +302,11 @@ def _pair_corrections(Z: np.ndarray) -> np.ndarray:
 def _row_columns(Vs: Sequence[Potential]) -> list:
     """`horner` columns of the (rows, degree + 1) coefficient matrix of the
     rows' potentials, each a (rows,) array (`_Blocks` tiles them to a
-    block's positions); a matrix whose rows are all equal collapses to its
-    first row, as floats (a float multiplies faster than a numpy scalar).
-    An all-zero column is None."""
+    block's positions). An all-zero column is None."""
     C = np.zeros((len(Vs), max(len(V.coeffs) for V in Vs)))
     for r, V in enumerate(Vs):
         C[r, :len(V.coeffs)] = V.coeffs
-    columns = C.T.copy() if np.any(C != C[0]) else C[0].tolist()
-    return [col if np.any(col) else None for col in columns]
+    return [col if np.any(col) else None for col in C.T]
 
 
 def _run_chains(cfgs: Sequence[SamplerConfig]):
@@ -350,13 +334,12 @@ def _run_chains(cfgs: Sequence[SamplerConfig]):
     if any((cfg.n, cfg.steps, cfg.burn_in, cfg.thinning) != shape for cfg in cfgs):
         raise ValueError("configs run together must share n, steps, burn_in and thinning")
     n, burn_in, thinning = first.n, first.burn_in, first.thinning
+    base = quantile_start(n)
     rngs, starts, Vs, chain_of = [], [], [], []
     for cfg in cfgs:
-        mu = (equilibrium_for(cfg.V) or (None, None))[0]
         own = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.chains)]
         # chain 0 starts at the Fekete set, the others at jittered quantiles
-        starts.append(minimize(cfg.n, cfg.V, seed=0, multistart=1, tol=1e-8 * cfg.n).config.points)
-        base = quantile_start(cfg.n, mu)
+        starts.append(minimize(n, cfg.V, seed=0, multistart=1, tol=1e-8 * n).config.points)
         starts += [jittered(base, 0.3, rng) for rng in own[1:]]
         rngs += own
         Vs += [cfg.V] * cfg.chains

@@ -144,18 +144,22 @@ def ground_state_ladder(ns):
     """The Fekete ladder of x^2/2: one start of `minimize` per n, never
     jittered as x^2/2 is convex, so no seed enters. Returns, per n, the
     result, the Hermite-root oracle, sup |gradient| at the oracle, the exact
-    f_n (breakdown's f_n of `hermite_energy`) and the solve's seconds."""
+    f_n (breakdown's f_n of `hermite_energy`) and the solve's seconds.
+    Each n is solved once per process: fekete-oracle and ground-state-limit
+    share their rows."""
+    return [_ladder_row(n) for n in ns]
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_row(n: int) -> tuple:
     V = model_mod.quadratic()
     F = model_mod.equilibrium_for(V)[1].mean_field_energy
-    rows = []
-    for n in ns:
-        t0 = time.perf_counter()
-        res = fekete_mod.minimize(n, V, multistart=1)
-        seconds = time.perf_counter() - t0
-        oracle = fekete_mod.hermite_oracle(n)
-        rows.append((res, oracle, float(np.abs(gradient(oracle, V)).max()),
-                     _next_order(fekete_mod.hermite_energy(n), n, F)[2], seconds))
-    return rows
+    t0 = time.perf_counter()
+    res = fekete_mod.minimize(n, V, multistart=1)
+    seconds = time.perf_counter() - t0
+    oracle = fekete_mod.hermite_oracle(n)
+    return (res, oracle, float(np.abs(gradient(oracle, V)).max()),
+            _next_order(fekete_mod.hermite_energy(n), n, F)[2], seconds)
 
 
 @_check

@@ -150,7 +150,7 @@ def test_first_start_is_jittered_exactly_where_v_is_not_convex():
 
 def test_quantile_start_without_a_closed_form_is_the_semicircle():
     for n in (1, 2, 17):
-        assert np.array_equal(quantile_start(n, None), semicircle_equilibrium().quantiles(n))
+        assert np.array_equal(quantile_start(n), semicircle_equilibrium().quantiles(n))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])

@@ -337,6 +337,17 @@ def test_random_points_are_certified_in_one_pass(monkeypatch):
             del calls[:]
 
 
+def test_all_zero_pair_logs_are_certified_in_one_pass(monkeypatch):
+    # at n = 1 and at [0, 1] every pair log is exactly 0, so every q and r
+    # is 0 and the bound is 0: no second walk for the definition
+    calls = spy_pair_blocks(monkeypatch)
+    for pts in ([0.3], [0.0, 1.0], [0.1, 0.7, 2.0]):
+        pts = np.array(pts)
+        assert energy(Configuration(pts), V2) == fsum_energy(pts, V2)
+        assert calls == [False]
+        del calls[:]
+
+
 def test_gradient_zero_at_two_point_minimizer():
     cfg = Configuration(np.array([-INV_SQRT2, INV_SQRT2]))
     assert np.max(np.abs(gradient(cfg, V2))) <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loggas import DegenerateConfigError, PeriodicConfig, lattice, lattice_min, periodic_w, rescale_w
+from loggas import DegenerateConfigError, PeriodicConfig, lattice, lattice_min, periodic_w
 
 LATTICE_W = -math.pi * math.log(2.0 * math.pi)
 
@@ -125,14 +125,12 @@ def test_lattice_min_values():
 
 
 def test_rescale_identities():
-    w = periodic_w(lattice(5))
-    assert rescale_w(w, 1.0) == w
-    assert rescale_w(0.0, math.e) == pytest.approx(-math.pi * math.e, rel=1e-14)
+    # dilating the density-1 lattice to density m sends W to m (W - pi log m)
     for m in (0.5, 1.0, 2.0, math.pi):
-        assert rescale_w(LATTICE_W, m) == pytest.approx(lattice_min(m), rel=1e-13)
+        assert m * (LATTICE_W - math.pi * math.log(m)) == pytest.approx(lattice_min(m), rel=1e-13)
 
 
 def test_translated_helper():
-    cfg = lattice(4).translated(0.25)
+    cfg = PeriodicConfig(4, np.sort((lattice(4).points + 0.25) % 4))
     assert periodic_w(cfg) == pytest.approx(LATTICE_W, abs=1e-12)
     assert np.all(cfg.points >= 0.0) and np.all(cfg.points < 4.0)

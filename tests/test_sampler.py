@@ -13,7 +13,6 @@ from loggas import (
     SamplerConfig,
     blend,
     double_well,
-    metropolis_accept,
     minimize,
     polynomial,
     quadratic,
@@ -23,16 +22,21 @@ from loggas import (
 )
 from loggas.hamiltonian import Configuration, energy
 from loggas.model import horner
-from loggas.sampler import AUDIT_RTOL, _Blocks, _distinct_sites, _row_columns
+from loggas.sampler import AUDIT_RTOL, _accept_threshold, _Blocks, _distinct_sites, _row_columns
 
 V2 = quadratic()
 
 
+def _accepts(delta, beta, u):
+    """The block kernel's accept rule: delta below the threshold of u."""
+    return np.less(delta, _accept_threshold(beta, u))
+
+
 def test_accept_rules():
-    assert metropolis_accept(-1.0, 2.0, 0.999999)
-    assert metropolis_accept(0.0, 2.0, 0.999999)
-    assert not metropolis_accept(math.inf, 2.0, 0.0)
-    assert not metropolis_accept(math.nan, 2.0, 0.0)
+    assert _accepts(-1.0, 2.0, 0.999999)
+    assert _accepts(0.0, 2.0, 0.999999)
+    assert not _accepts(math.inf, 2.0, 0.0)
+    assert not _accepts(math.nan, 2.0, 0.0)
 
 
 @settings(deadline=None, max_examples=100)
@@ -48,8 +52,8 @@ def test_accept_rules():
 @example(moves=[(30.0, 0.0)], beta=50.0)  # delta past the u = 0 floor 2150 log(2) / beta
 def test_accept_matches_rule(moves, beta):
     deltas, us = (np.array(col) for col in zip(*moves))
-    got = metropolis_accept(deltas, beta, us).tolist()
-    assert got == [metropolis_accept(delta, beta, u) for delta, u in moves]
+    got = _accepts(deltas, beta, us).tolist()
+    assert got == [_accepts(delta, beta, u) for delta, u in moves]
     for ok, (delta, u) in zip(got, moves):
         assert _exact_accept(delta, beta, u) in (None, ok)
 
@@ -57,7 +61,7 @@ def test_accept_matches_rule(moves, beta):
 def _exact_accept(delta, beta, u):
     """u < min(1, exp(-(beta/2) delta)) decided at 50 digits from the exact
     values of the floats, as delta < T = -(2/beta) log u, with log 0 floored
-    at -1075 log 2 where exp underflows to 0 (`metropolis_accept`). None
+    at -1075 log 2 where exp underflows to 0 (`_accept_threshold`). None
     when delta is within 8 ulp of T: the float threshold rounds three times
     (log, 2/beta and their product), so there the rule may go either way."""
     with decimal.localcontext() as ctx:
@@ -96,7 +100,7 @@ def test_proposal_onto_existing_point_rejected():
     assert delta[0, 0] == math.inf and not acc[0, 0]
     assert math.isfinite(delta[0, 1]) and acc[0, 1]
     assert delta[1, 1] == math.inf and not acc[1, 1]
-    assert not metropolis_accept(math.inf, 2.0, 0.0)
+    assert not _accepts(math.inf, 2.0, 0.0)
     # row 0's step 1 (site 1, 0.25 -> 0.375) is finite and accepted, and
     # every cached energy is exact
     assert acc[1, 0] and np.array_equal(pts, [[-0.5, 0.375, 0.75], [-0.5, 0.25, 0.5]])
@@ -186,7 +190,7 @@ def test_detailed_balance_three_state_toy():
     # the proposal and its verdict at every step from each of the three
     # states, so that the walk itself only looks them up
     targets = others[:, picks]
-    accepts = metropolis_accept(E[targets] - E[:, None], beta, us)
+    accepts = _accepts(E[targets] - E[:, None], beta, us)
     targets, accepts = targets.tolist(), accepts.tolist()
     counts = [[0] * 3 for _ in range(3)]
     s = 0
